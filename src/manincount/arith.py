@@ -8,14 +8,13 @@ exact: values are Python ints or Fractions, never floats.
 
 from __future__ import annotations
 
+import decimal
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterator, Sequence
-
-import numpy as np
 
 __all__ = [
     "Factorization",
@@ -294,18 +293,54 @@ def r4(d: int) -> int:
 
 
 def _convolve_exact(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
-    """First ``length`` entries of the additive convolution of a and b."""
-    bound = max(a) * max(b) * min(len(a), len(b))
-    if bound < 2**62:
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(v) for v in out[:length]]
-    out = [0] * length
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= length:
-            continue
-        for j, bj in enumerate(b[: length - i]):
-            out[i + j] += ai * bj
-    return out
+    """First ``length`` entries of the additive convolution of nonnegative a and b.
+
+    Kronecker substitution: a and b become the integers sum a_i 10**(w i)
+    and sum b_j 10**(w j), written in decimal with a fixed slot of w
+    digits per entry, and one exact decimal product (libmpdec multiplies
+    large operands by a number-theoretic transform) carries entry k of the
+    convolution in slot k.  For nonnegative input entry k is
+    sum_i a_i b_(k-i) <= sum(a) * max(b), and symmetrically
+    <= max(a) * sum(b); w is the digit count of the smaller bound, so
+    every entry is below 10**w, no slot carries into the next, and each
+    slot read back is the exact entry.
+    Entries past ``length`` in a or b cannot reach the first ``length``
+    slots and are dropped before packing.
+    """
+    if length <= 0:
+        return []
+    a, b = a[:length], b[:length]
+    if not a or not b:
+        return [0] * length
+    if min(a) < 0 or min(b) < 0:
+        raise ValueError("_convolve_exact needs nonnegative entries")
+    w = len(str(min(sum(a) * max(b), max(a) * sum(b))))
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    product = ctx.multiply(decimal.Decimal("".join([str(x).zfill(w) for x in reversed(a)])),
+                           decimal.Decimal("".join([str(x).zfill(w) for x in reversed(b)])))
+    width = length * w
+    digits = str(product)[-width:].zfill(width)
+    return [int(digits[i : i + w]) for i in range(width - w, -1, -w)]
+
+
+def _table_bytes(n: int, limit: int) -> int:
+    """Upper estimate of the bytes ``rn_exact_table(n, limit)`` holds at its peak.
+
+    Every r_m(d) with d <= limit counts points of a cube of side
+    2 isqrt(limit) + 1 in Z^m, so w = digits((2 isqrt(limit) + 1)**n)
+    bounds every table entry and every Kronecker slot width.  Per entry
+    the peak holds seven list slots (theta, r2, r4, the running table,
+    the output and the two truncated operands), four Python ints of at
+    most w digits (28 bytes plus 4 per further 30-bit digit), and the
+    buffers of one product, under 10 w bytes: the packed operands and
+    their product as decimals (8 bytes per 19 digits), libmpdec's
+    transform arrays (four, each at most twice the product's words) and
+    the product's digit string with its slice.  A fixed 4 KiB covers the
+    decimal context and the list headers at tiny limits.
+    """
+    w = len(str((2 * isqrt(limit) + 1) ** n))
+    return 4096 + (limit + 1) * (7 * 8 + 4 * (32 + w // 2) + 10 * w)
 
 
 def rn_exact_table(n: int, limit: int, memory_budget: int = 1 << 31) -> list[int]:
@@ -316,13 +351,19 @@ def rn_exact_table(n: int, limit: int, memory_budget: int = 1 << 31) -> list[int
     convolved up to r4, then r4 is convolved (n/4)-fold.  No
     divisor-sum formula is involved, so this is an independent oracle
     for the r4/rn_star route.
+
+    Each convolution is one exact Kronecker-substitution product
+    (``_convolve_exact``), O(L log L) in the table length L.  All inputs
+    are nonnegative counts, so the slot bound min(sum a * max b,
+    max a * sum b) exceeds every entry of the product and no slot
+    carries: the table is exact at any limit.  ``memory_budget`` is
+    checked against ``_table_bytes`` before anything is allocated.
     """
     if n < 4 or n % 4 != 0:
         raise ValueError(f"n must be a positive multiple of 4, got {n}")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    # crude per-entry estimate: n/4 int64 tables live at once
-    if (limit + 1) * 8 * (n // 4 + 2) > memory_budget:
+    if _table_bytes(n, limit) > memory_budget:
         raise ResourceBudgetError(
             f"rn_exact_table(n={n}, limit={limit}) exceeds memory budget {memory_budget} bytes"
         )

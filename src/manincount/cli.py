@@ -131,10 +131,14 @@ def cmd_constants(args: argparse.Namespace) -> int:
         }
         notes = list(bundle.notes)
         if n == 4:
-            g11 = asymptotics.euler_product_G(1, 1, 1, plim, digits)
-            residual = abs(bundle.C_script - mpf(3) / 16 * g11.value)
+            # constant_C4 needs prime_limit >= 100; the n = 4 bundle above
+            # already fails its own consistency check below 373
+            direct = asymptotics.constant_C4(plim, digits)
+            residual = abs(bundle.C_script - direct.value)
             doc["cross_route_residual"] = _nstr(residual, 8)
-            notes.append("cross_route_residual = |C_script - (3/16) G(1,1)| at this prime limit")
+            notes.append("cross_route_residual = |C_script - C4_direct| at this prime limit, "
+                         "C_script from (3/16) G(1,1) and C4_direct from the direct product "
+                         "(27/512) zeta(4) prod_{p>2} (1+2/p+3/p^2+2/p^3+1/p^4)(1-1/p)^2")
         doc["notes"] = notes
     _write(json.dumps(doc, indent=2, sort_keys=False) + "\n", args.out)
     return EXIT_OK

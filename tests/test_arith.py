@@ -1,12 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import manincount
+from manincount import verify
 from manincount.arith import (
     Factorization,
     ResourceBudgetError,
+    _convolve_exact,
+    _table_bytes,
     bernoulli,
     divisor_count,
     divisors_of_cube,
@@ -38,6 +47,16 @@ def trial_division(m):
 
 def r4_star_by_definition(d):
     return sum(l for l in range(1, d + 1) if d % l == 0 and l % 4 != 0)
+
+
+def convolve_naive(a, b, length):
+    """Reference for _convolve_exact: the direct double loop."""
+    out = [0] * length
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < length:
+                out[i + j] += ai * bj
+    return out
 
 
 class TestFactorize:
@@ -167,6 +186,60 @@ class TestR4AndTables:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             rn_exact_table(6, 10)
+
+    def test_n16_matches_lattice_oracle(self):
+        # the r12 * r4 product at this length has entries far past 2^64
+        t16 = rn_exact_table(16, 20_000)
+        for d in range(121):
+            assert t16[d] == verify.rn_lattice_oracle(16, d), d
+
+    def test_budget_estimate_covers_peak(self):
+        tracemalloc.start()
+        try:
+            rn_exact_table(12, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _table_bytes(12, 50_000) >= peak
+
+
+class TestConvolveExact:
+    def test_random_against_naive(self):
+        rng = random.Random(2017)
+        for lo, hi in ((0, 1), (0, 1000), (2**64, 2**64 + 1000), (0, 2**200)):
+            for _ in range(40):
+                a = [rng.randint(lo, hi) for _ in range(rng.randint(1, 30))]
+                b = [rng.randint(lo, hi) for _ in range(rng.randint(1, 30))]
+                length = rng.randint(1, len(a) + len(b) + 5)
+                assert _convolve_exact(a, b, length) == convolve_naive(a, b, length)
+
+    def test_all_zero_input(self):
+        assert _convolve_exact([0, 0, 0], [5, 6], 4) == [0, 0, 0, 0]
+        assert _convolve_exact([0], [0], 3) == [0, 0, 0]
+
+    def test_length_one(self):
+        assert _convolve_exact([7, 1, 2], [3, 4], 1) == [21]
+        assert _convolve_exact([2**100], [2**90], 1) == [2**190]
+
+    def test_length_past_full_product(self):
+        a, b = [1, 2, 3], [4, 5]
+        assert _convolve_exact(a, b, 9) == [4, 13, 22, 15, 0, 0, 0, 0, 0]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            _convolve_exact([1, -1], [1, 1], 3)
+        with pytest.raises(ValueError):
+            _convolve_exact([1, 1], [0, -2**70], 3)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(manincount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, manincount; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestBernoulli:

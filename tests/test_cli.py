@@ -77,7 +77,9 @@ class TestConstants:
         assert "cross_route_residual" in doc
         c_script = float(doc["C_script"])
         assert abs(float(doc["C_star"]) - 16 / 3 * c_script) < 1e-12
-        assert float(doc["cross_route_residual"]) < 1e-12
+        # C_script ((3/16) G(1,1)) against the direct product constant_C4:
+        # two truncations with different tails, so the residual is nonzero
+        assert 0 < float(doc["cross_route_residual"]) < 1e-12
 
     def test_n8_flags_bernoulli_sign(self, capsys):
         code, out, _ = run(capsys, "constants", "--n", "8", "--prime-limit", "3000")

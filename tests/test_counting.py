@@ -125,6 +125,14 @@ class TestAffine:
         for B in (1, 2, 3, 10, 37, 100):
             assert count_affine_exact(B, 4) == 16 * (s_sum(B, B * B) - t_sum(B))
 
+    def test_n8_past_int64_products(self):
+        # at L = 450^2 the r4 * r4 entry products pass 2^62, out of int64
+        # range; Jacobi's r_8 = 16 r_8* gives the third value without the table
+        B = 450
+        exact = count_affine_exact(B, 8)
+        assert exact == count_affine_bruteforce(B, 8)
+        assert exact == 32 * (s_sum(B, B * B, 2) - t_sum(B, 2))
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             CountQuery(0, 4, "affine")
