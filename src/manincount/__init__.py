@@ -12,7 +12,6 @@ from .arith import (
     Factorization,
     ResourceBudgetError,
     bernoulli,
-    divisors_of_cube,
     factorize,
     mobius_sieve,
     r4,

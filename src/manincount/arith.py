@@ -1,9 +1,9 @@
 """Exact integer arithmetic kernel.
 
-Factorization, divisor enumeration for cubes, the multiplicative
-sum-of-squares companions r4*/rn*, exact r_n tables built by lattice
-convolution, Bernoulli numbers and a Moebius sieve.  Everything here is
-exact: values are Python ints or Fractions, never floats.
+Factorization, the multiplicative sum-of-squares companions r4*/rn*,
+exact r_n tables built by lattice convolution, Bernoulli numbers and a
+Moebius sieve.  Everything here is exact: values are Python ints or
+Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "Factorization",
     "ResourceBudgetError",
     "bernoulli",
-    "divisor_count",
-    "divisors_of_cube",
     "factorize",
     "is_prime",
     "mobius_sieve",
@@ -118,12 +116,6 @@ class Factorization:
         if prod != self.value:
             raise ValueError(f"factors multiply to {prod}, not {self.value}")
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 def _rho_brent(n: int, rng: random.Random) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
@@ -201,42 +193,6 @@ def factorize(m: int) -> Factorization:
     if m < 1:
         raise ValueError(f"cannot factorize {m}; need a positive integer")
     return Factorization(m, _factor_cached(m))
-
-
-def divisor_count(f: Factorization) -> int:
-    """tau(value): number of divisors."""
-    t = 1
-    for _, e in f.factors:
-        t *= e + 1
-    return t
-
-
-def divisors_of_cube(f: Factorization, limit: int | None = None) -> Iterator[tuple[int, Factorization]]:
-    """Yield every divisor d <= limit of value**3, exactly once.
-
-    Exponents of p in d range over 0..3e.  ``limit=None`` means no bound,
-    in which case exactly prod(3e_i + 1) divisors come out.  Each item is
-    (d, factorization of d); order follows the recursive expansion and is
-    deterministic.
-    """
-    fs = f.factors
-    if limit is not None and limit < 1:
-        return
-
-    def rec(i: int, d: int, fac: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, Factorization]]:
-        if i == len(fs):
-            yield d, Factorization(d, fac)
-            return
-        p, e = fs[i]
-        pw = 1
-        for j in range(3 * e + 1):
-            dn = d * pw
-            if limit is not None and dn > limit:
-                break
-            yield from rec(i + 1, dn, fac + ((p, j),) if j else fac)
-            pw *= p
-
-    yield from rec(0, 1, ())
 
 
 def rn_star_prime_powers(p: int, emax: int, k: int = 1) -> list[int]:

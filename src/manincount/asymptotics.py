@@ -302,7 +302,11 @@ def constant_Cn(
     Compact form: (3 / (16 k (2k-1))) G(1, 2k-1).  Expanded form: an exact
     dyadic prefactor times zeta(6k-2) times the odd-prime product
     (1 + 2/p + 3/p^2k + 2/p^(4k-1) + 1/p^4k)(1 - 1/p)^2.  The compact value
-    is returned; disagreement beyond ``consistency_tol`` (relative) raises
+    is returned.  The expanded form carries all of zeta(6k-2), the compact
+    form only its primes <= prime_limit, so at a finite prime limit P they
+    differ by the factor prod_{p > P} (1 - p^-(6k-2))^-1, which exceeds 1
+    by at most sum_{m > P} m^-(6k-2) <= P^-(6k-3) / (6k-3).  A relative
+    disagreement beyond ``consistency_tol`` plus that bound raises
     InternalConsistencyError.
     """
     if k < 1:
@@ -332,10 +336,11 @@ def constant_Cn(
         expanded = mpf(pref.numerator) / pref.denominator * mp.zeta(6 * k - 2) * prod
 
         rel = abs(compact - expanded) / abs(compact)
-        if rel > consistency_tol:
+        tol = consistency_tol + mpf(prime_limit) ** (3 - 6 * k) / (6 * k - 3)
+        if rel > tol:
             raise InternalConsistencyError(
                 f"constant_Cn(k={k}): compact and expanded forms differ by {mp.nstr(rel, 6)} "
-                f"relative (tolerance {consistency_tol})"
+                f"relative (tolerance {mp.nstr(tol, 6)})"
             )
         return EulerProductValue(+compact, prime_limit, g.tail_bound)
 

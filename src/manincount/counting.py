@@ -21,7 +21,6 @@ from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
 
 from .arith import (
-    factorize,
     mobius_sieve,
     primes_upto,
     rn_exact_table,
@@ -102,6 +101,10 @@ def introot(x: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 # factoring a contiguous block of integers
 
+# Values of m sieved at once.  A constant, so peak memory stays flat in x
+# and does not depend on the worker count.
+_SIEVE_BLOCK = 1 << 15
+
 
 def _factor_range(lo: int, hi: int) -> list[list[tuple[int, int]]]:
     """Factorizations of lo..hi-1 by a segmented sieve over the block.
@@ -126,13 +129,21 @@ def _factor_range(lo: int, hi: int) -> list[list[tuple[int, int]]]:
     return facs
 
 
+def _factored(lo: int, hi: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(m, factorization of m) for lo <= m < hi, sieved _SIEVE_BLOCK values at a time."""
+    for a in range(lo, hi, _SIEVE_BLOCK):
+        b = min(a + _SIEVE_BLOCK, hi)
+        yield from zip(range(a, b), _factor_range(a, b))
+
+
 # ---------------------------------------------------------------------------
-# bounded sums of r_{4k}* over divisors of n**3
+# the two walks over the divisors of n**3
 #
-# The enumeration walks prime-by-prime, largest prime first.  Whenever the
-# whole remaining subtree fits under the bound it is folded in closed form
-# (the inner sums are multiplicative), so the walk only ever touches the
-# boundary region.
+# Both walk prime-by-prime, largest prime first, on the prime-power tables
+# of _cube_tables.  _rstar_sum folds: whenever the whole remaining subtree
+# fits in the range it is summed in closed form (the inner sums are
+# multiplicative), so the walk only ever touches the boundary region.
+# _cube_divisors lists every divisor, for callers that need each d.
 
 
 def _cube_tables(factors: Sequence[tuple[int, int]], k: int):
@@ -155,29 +166,7 @@ def _cube_tables(factors: Sequence[tuple[int, int]], k: int):
     return pws, rvs, full_tail, sum_tail
 
 
-def _rstar_sum_upto(factors: Sequence[tuple[int, int]], k: int, limit: int) -> int:
-    """Sum of r_{4k}*(d) over divisors d of n**3 with d <= limit."""
-    if limit < 1:
-        return 0
-    pws, rvs, full_tail, sum_tail = _cube_tables(factors, k)
-
-    def rec(i: int, d: int, r: int) -> int:
-        if d * full_tail[i] <= limit:
-            return r * sum_tail[i]
-        s = 0
-        pw = pws[i]
-        rv = rvs[i]
-        for j in range(len(pw)):
-            dn = d * pw[j]
-            if dn > limit:
-                break
-            s += rec(i + 1, dn, r * rv[j])
-        return s
-
-    return rec(0, 1, 1)
-
-
-def _rstar_sum_range(factors: Sequence[tuple[int, int]], k: int, lo: int, hi: int) -> int:
+def _rstar_sum(factors: Sequence[tuple[int, int]], k: int, lo: int, hi: int) -> int:
     """Sum of r_{4k}*(d) over divisors d of n**3 with lo <= d <= hi."""
     if hi < lo or hi < 1:
         return 0
@@ -201,26 +190,22 @@ def _rstar_sum_range(factors: Sequence[tuple[int, int]], k: int, lo: int, hi: in
     return rec(0, 1, 1)
 
 
-def _divisors_in_range(factors: Sequence[tuple[int, int]], lo: int, hi: int) -> Iterator[int]:
-    """Divisors d of n**3 with lo <= d <= hi (cube exponents), any order."""
-    fs = sorted(factors, reverse=True)
-
-    def rec(i: int, d: int) -> Iterator[int]:
-        if i == len(fs):
-            if d >= lo:
-                yield d
-            return
-        p, e = fs[i]
-        pw = 1
-        for _ in range(3 * e + 1):
-            dn = d * pw
-            if dn > hi:
-                break
-            yield from rec(i + 1, dn)
-            pw *= p
-
-    if hi >= 1:
-        yield from rec(0, 1)
+def _cube_divisors(factors: Sequence[tuple[int, int]], k: int, hi: int) -> list[tuple[int, int]]:
+    """(d, r_{4k}*(d)) for every divisor d <= hi of n**3, in no fixed order."""
+    if hi < 1:
+        return []
+    pws, rvs, _, _ = _cube_tables(factors, k)
+    out = [(1, 1)]
+    for pw, rv in zip(pws, rvs):
+        nxt = []
+        for d, r in out:
+            for q, rq in zip(pw, rv):
+                dn = d * q
+                if dn > hi:
+                    break
+                nxt.append((dn, r * rq))
+        out = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +214,18 @@ def _divisors_in_range(factors: Sequence[tuple[int, int]], lo: int, hi: int) -> 
 
 def _block_s(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, y = args
-    facs = _factor_range(lo, hi)
-    return sum(_rstar_sum_upto(f, k, y) for f in facs)
+    return sum(_rstar_sum(f, k, 1, y) for _, f in _factored(lo, hi))
 
 
 def _block_t(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, B = args
-    facs = _factor_range(lo, hi)
-    total = 0
-    for i, f in enumerate(facs):
-        n = lo + i
-        total += _rstar_sum_upto(f, k, (n**3 - 1) // B)
-    return total
+    return sum(_rstar_sum(f, k, 1, (n**3 - 1) // B) for n, f in _factored(lo, hi))
 
 
 def _block_affine4(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, B = args
-    facs = _factor_range(lo, hi)
     B2 = B * B
-    total = 0
-    for i, f in enumerate(facs):
-        m = lo + i
-        total += _rstar_sum_range(f, k, (m**3 + B - 1) // B, B2)
-    return total
+    return sum(_rstar_sum(f, k, (m**3 + B - 1) // B, B2) for m, f in _factored(lo, hi))
 
 
 def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) -> int:
@@ -312,7 +286,7 @@ def count_affine_exact(B: int, n: int = 4, workers: int | None = None) -> int:
 
     Evaluates 2 * sum_{m<=B} sum_{d | m^3, m^3/B <= d <= B^2} r_n(d); for
     n = 4 the inner values come from r_4 = 8 r_4*, for larger n from the
-    exact lattice table.  The divisor range walks both bounds directly,
+    exact lattice table.  The divisor range applies both bounds directly,
     which keeps this structurally separate from s_sum - t_sum.
     """
     q = CountQuery(B, n, "affine")
@@ -321,17 +295,17 @@ def count_affine_exact(B: int, n: int = 4, workers: int | None = None) -> int:
         return 16 * inner
     table = _rn_table(n, B * B)
     total = 0
-    for m in range(1, B + 1):
-        f = factorize(m).factors
+    for m, f in _factored(1, B + 1):
         lo = (m**3 + B - 1) // B
-        total += sum(table[d] for d in _divisors_in_range(f, lo, B * B))
+        total += sum(table[d] for d, _ in _cube_divisors(f, 1, B * B) if d >= lo)
     return 2 * total
 
 
 def count_affine_bruteforce(B: int, n: int = 4) -> int:
     """Oracle for count_affine_exact: walk (x, z) divisor pairs directly.
 
-    For each x in 1..B and each positive z | x**3 with z <= B, the y-layer
+    For each x in 1..B and each z in 1..B dividing x**3 (found by trial
+    division, never by the sieve or a divisor walk), the y-layer
     contributes r_n(x**3 / z) taken from the lattice-convolution table
     (never from the 8 r_4* identity), and the x < 0 half doubles the count.
     """
@@ -341,10 +315,9 @@ def count_affine_bruteforce(B: int, n: int = 4) -> int:
     total = 0
     for x in range(1, B + 1):
         cube = x**3
-        f = factorize(x).factors
-        for z in _divisors_in_range(f, 1, B):
-            Q = cube // z
-            if 1 <= Q <= B2:
+        for z in range(1, B + 1):
+            Q, rem = divmod(cube, z)
+            if rem == 0 and Q <= B2:
                 total += table[Q]
     return 2 * total
 
@@ -398,9 +371,10 @@ def count_projective_bruteforce(B: int, n: int = 4) -> int:
     radius R = floor(B**(1/(n-1))) and keep tuples whose n+2 coordinates
     have gcd 1.
 
-    For n = 4 the y-vectors are enumerated literally and the gcd is taken
-    per tuple.  For n >= 8 full vector enumeration is hopeless, so the
-    y-layer is counted by sieving the common divisor e | gcd(x, z):
+    The z | x**3 with z <= R are found by trial division.  For n = 4 the
+    y-vectors are enumerated literally and the gcd is taken per tuple.
+    For n >= 8 full vector enumeration is hopeless, so the y-layer is
+    counted by sieving the common divisor e | gcd(x, z):
     sum_{e | gcd(x,z), e^2 | Q} mu(e) r_n(Q / e^2).
     """
     CountQuery(B, n, "projective")
@@ -413,10 +387,9 @@ def count_projective_bruteforce(B: int, n: int = 4) -> int:
         vecs = _vectors_by_norm(4, R2)
         for x in range(1, R + 1):
             cube = x**3
-            f = factorize(x).factors
-            for z in _divisors_in_range(f, 1, R):
-                Q = cube // z
-                if not 1 <= Q <= R2:
+            for z in range(1, R + 1):
+                Q, rem = divmod(cube, z)
+                if rem or Q > R2:
                     continue
                 g0 = math.gcd(x, z)
                 for y in vecs[Q]:
@@ -427,10 +400,9 @@ def count_projective_bruteforce(B: int, n: int = 4) -> int:
     mu = mobius_sieve(R)
     for x in range(1, R + 1):
         cube = x**3
-        f = factorize(x).factors
-        for z in _divisors_in_range(f, 1, R):
-            Q = cube // z
-            if not 1 <= Q <= R2:
+        for z in range(1, R + 1):
+            Q, rem = divmod(cube, z)
+            if rem or Q > R2:
                 continue
             g0 = math.gcd(x, z)
             for e in range(1, isqrt(Q) + 1):
@@ -443,40 +415,25 @@ def count_projective_bruteforce(B: int, n: int = 4) -> int:
 # mean value and the bracketing operator
 
 
-def _floor_rational(x: Fraction | int) -> int:
-    return math.floor(x)
-
-
 def mean_value_M(X: Fraction | int, Y: Fraction | int, k: int = 1) -> Fraction:
     """M(X, Y) = sum_{n<=X} sum_{d|n^3, d<=Y} r_{4k}*(d) (X-n) (Y-d), exact.
 
     Equals the double integral of S over [1,X] x [1,Y] because S is a step
     function jumping only at integer n and d.  Arguments may be rational.
+    Expanding (X-n)(Y-d) leaves four integer sums and one rational
+    expression at the end.
     """
     X = Fraction(X)
     Y = Fraction(Y)
-    total = Fraction(0)
-    ylim = _floor_rational(Y)
-    for n in range(1, _floor_rational(X) + 1):
-        f = factorize(n).factors
-        inner = Fraction(0)
-        pws, rvs, _, _ = _cube_tables(f, k)
-
-        def rec(i: int, d: int, r: int) -> None:
-            nonlocal inner
-            if i == len(pws):
-                inner += r * (Y - d)
-                return
-            for j in range(len(pws[i])):
-                dn = d * pws[i][j]
-                if dn > ylim:
-                    break
-                rec(i + 1, dn, r * rvs[i][j])
-
-        if ylim >= 1:
-            rec(0, 1, 1)
-        total += (X - n) * inner
-    return total
+    ylim = math.floor(Y)
+    s_r = s_nr = s_rd = s_nrd = 0
+    for n, f in _factored(1, math.floor(X) + 1):
+        for d, r in _cube_divisors(f, k, ylim):
+            s_r += r
+            s_nr += n * r
+            s_rd += r * d
+            s_nrd += n * r * d
+    return X * Y * s_r - Y * s_nr - X * s_rd + s_nrd
 
 
 def apply_D(f: Callable[[Fraction, Fraction], Fraction], X, H, Y, J):
@@ -534,34 +491,22 @@ def identity_scan(Bmax: int) -> tuple[list[int], list[int], list[int]]:
     dT = [0] * (Bmax + 2)
     dA = [0] * (Bmax + 2)
     lim = Bmax * Bmax
-    for m in range(1, Bmax + 1):
+    for m, f in _factored(1, Bmax + 1):
         cube = m**3
-        f = factorize(m).factors
-        pws, rvs, _, _ = _cube_tables(f, 1)
-
-        def rec(i: int, d: int, r: int) -> None:
-            if i == len(pws):
-                sq = isqrt(d - 1) + 1  # ceil(sqrt(d))
-                b0 = m if m >= sq else sq
-                if b0 <= Bmax:
-                    dS[b0] += r
-                b1 = (cube - 1) // d
-                if b1 >= m:
-                    dT[m] += r
-                    if b1 <= Bmax:
-                        dT[b1 + 1] -= r
-                lo = (cube + d - 1) // d  # ceil(m^3 / d)
-                b2 = b0 if b0 >= lo else lo
-                if b2 <= Bmax:
-                    dA[b2] += 16 * r
-                return
-            for j in range(len(pws[i])):
-                dn = d * pws[i][j]
-                if dn > lim:
-                    break
-                rec(i + 1, dn, r * rvs[i][j])
-
-        rec(0, 1, 1)
+        for d, r in _cube_divisors(f, 1, lim):
+            sq = isqrt(d - 1) + 1  # ceil(sqrt(d))
+            b0 = m if m >= sq else sq
+            if b0 <= Bmax:
+                dS[b0] += r
+            b1 = (cube - 1) // d
+            if b1 >= m:
+                dT[m] += r
+                if b1 <= Bmax:
+                    dT[b1 + 1] -= r
+            lo = (cube + d - 1) // d  # ceil(m^3 / d)
+            b2 = b0 if b0 >= lo else lo
+            if b2 <= Bmax:
+                dA[b2] += 16 * r
     S = [0] * (Bmax + 1)
     T = [0] * (Bmax + 1)
     A = [0] * (Bmax + 1)

@@ -17,8 +17,6 @@ from manincount.arith import (
     _convolve_exact,
     _table_bytes,
     bernoulli,
-    divisor_count,
-    divisors_of_cube,
     factorize,
     mobius_sieve,
     r4,
@@ -88,33 +86,6 @@ class TestFactorize:
             Factorization(8, ((4, 1), (2, 1)))  # 4 is not prime
 
 
-class TestDivisorsOfCube:
-    def test_divisors_of_8(self):
-        ds = sorted(d for d, _ in divisors_of_cube(factorize(2)))
-        assert ds == [1, 2, 4, 8]
-
-    def test_divisors_of_216_up_to_10(self):
-        ds = sorted(d for d, _ in divisors_of_cube(factorize(6), 10))
-        assert ds == [1, 2, 3, 4, 6, 8, 9]
-
-    def test_unit(self):
-        assert [d for d, _ in divisors_of_cube(factorize(1), 1000)] == [1]
-
-    def test_count_is_product_of_3e_plus_1(self):
-        for m in (2, 12, 30, 360, 1001):
-            f = factorize(m)
-            expected = 1
-            for _, e in f.factors:
-                expected *= 3 * e + 1
-            items = list(divisors_of_cube(f))
-            assert len(items) == expected
-            assert len({d for d, _ in items}) == expected  # no repeats
-
-    def test_each_divisor_carries_its_factorization(self):
-        for d, fd in divisors_of_cube(factorize(12), 100):
-            assert fd.value == d
-
-
 class TestR4Star:
     def test_examples(self):
         assert r4_star(factorize(1)) == 1
@@ -142,8 +113,10 @@ class TestR4Star:
 
     def test_bounded_by_d_tau(self):
         for d in range(1, 10**4 + 1):
-            f = factorize(d)
-            assert r4_star(f) <= d * divisor_count(f)
+            tau = 1
+            for _, e in trial_division(d):
+                tau *= e + 1
+            assert r4_star(factorize(d)) <= d * tau
 
 
 class TestRnStar:

@@ -182,6 +182,12 @@ class TestConstants:
         for k in (1, 2, 3):
             constant_Cn(k, PLIM, DIGITS, consistency_tol=1e-9)  # raises on failure
 
+    @pytest.mark.parametrize("n, plim", [(4, 2), (4, 50), (4, 99), (4, 200), (4, 372), (8, 2), (12, 2)])
+    def test_small_prime_limits_consistent(self, n, plim):
+        # the two forms differ by the zeta(6k-2) tail past plim, which the
+        # consistency check allows for; before that it raised below plim 373
+        constants_bundle(n, plim, DIGITS)
+
     def test_bundle_n4(self):
         b = constants_bundle(4, PLIM, DIGITS)
         assert b.prefactor == Fraction(16, 3)

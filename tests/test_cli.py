@@ -81,6 +81,16 @@ class TestConstants:
         # two truncations with different tails, so the residual is nonzero
         assert 0 < float(doc["cross_route_residual"]) < 1e-12
 
+    def test_n4_small_prime_limit(self, capsys):
+        code, out, _ = run(capsys, "constants", "--n", "4", "--prime-limit", "200")
+        assert code == 0
+        assert "cross_route_residual" in json.loads(out)
+
+    def test_n4_below_direct_product_limit(self, capsys):
+        code, _, err = run(capsys, "constants", "--n", "4", "--prime-limit", "99")
+        assert code == 2
+        assert "prime_limit must be >= 100" in err
+
     def test_n8_flags_bernoulli_sign(self, capsys):
         code, out, _ = run(capsys, "constants", "--n", "8", "--prime-limit", "3000")
         assert code == 0

@@ -4,8 +4,11 @@ from math import floor
 
 import pytest
 
-from manincount.arith import r4_star, factorize
+from manincount.arith import r4_star, factorize, rn_star
 from manincount.counting import (
+    _cube_divisors,
+    _factored,
+    _rstar_sum,
     CountQuery,
     apply_D,
     count_affine_bruteforce,
@@ -38,6 +41,64 @@ def t_sum_naive(B):
             if cube % d == 0 and d * B < cube:
                 total += r4_star(factorize(d))
     return total
+
+
+def cube_divisors_naive(n, hi=None):
+    """Divisors d <= hi of n**3 by trial division."""
+    cube = n**3
+    top = cube if hi is None else min(cube, hi)
+    return [d for d in range(1, top + 1) if cube % d == 0]
+
+
+class TestCubeDivisors:
+    def test_against_trial_division(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            n = rng.randint(1, 60)
+            k = rng.randint(1, 3)
+            hi = rng.choice([None, rng.randint(-5, n**3 + 5)])
+            items = _cube_divisors(factorize(n).factors, k, n**3 if hi is None else hi)
+            assert sorted(d for d, _ in items) == cube_divisors_naive(n, hi)
+            for d, r in items:
+                assert r == rn_star(factorize(d), k)
+
+    def test_divisors_of_8(self):
+        assert sorted(d for d, _ in _cube_divisors(factorize(2).factors, 1, 8)) == [1, 2, 4, 8]
+
+    def test_divisors_of_216_up_to_10(self):
+        ds = sorted(d for d, _ in _cube_divisors(factorize(6).factors, 1, 10))
+        assert ds == [1, 2, 3, 4, 6, 8, 9]
+
+    def test_unit(self):
+        assert _cube_divisors([], 1, 1000) == [(1, 1)]
+
+    def test_count_is_product_of_3e_plus_1(self):
+        for m in (2, 12, 30, 360, 1001):
+            f = factorize(m).factors
+            expected = 1
+            for _, e in f:
+                expected *= 3 * e + 1
+            ds = [d for d, _ in _cube_divisors(f, 1, m**3)]
+            assert len(ds) == expected
+            assert len(set(ds)) == expected  # no repeats
+
+    def test_folded_sum_matches_list(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.randint(1, 10**4)
+            k = rng.randint(1, 3)
+            f = factorize(n).factors
+            lo = rng.randint(-3, n**3 + 3)
+            hi = rng.choice([rng.randint(-3, n**3 + 3), rng.randint(-3, 3), lo - 1])
+            listed = sum(r for d, r in _cube_divisors(f, k, hi) if d >= lo)
+            assert _rstar_sum(f, k, lo, hi) == listed, (n, k, lo, hi)
+
+
+class TestFactored:
+    def test_block_seam(self):
+        lo, hi = 2**15 - 20, 2**16 + 20
+        expected = [(m, list(factorize(m).factors)) for m in range(lo, hi)]
+        assert list(_factored(lo, hi)) == expected
 
 
 class TestIntroot:
@@ -81,9 +142,10 @@ class TestSsum:
             prev = cur
 
     def test_worker_count_invariant(self):
-        ref = s_sum(300, 300**2)
-        for w in (2, 3, 5):
-            assert s_sum(300, 300**2, workers=w) == ref
+        for x in (300, 2**15 + 5):  # the second spans two sieve blocks
+            ref = s_sum(x, x**2)
+            for w in (2, 3, 5):
+                assert s_sum(x, x**2, workers=w) == ref
 
     def test_env_var_sets_default(self, monkeypatch):
         monkeypatch.setenv("MANIN_WORKERS", "2")
@@ -170,18 +232,19 @@ class TestMeanValue:
 
     def test_direct_sum_oracle(self):
         rng = random.Random(11)
-        for _ in range(25):
-            X = Fraction(rng.randint(1, 60), rng.randint(1, 5))
-            Y = Fraction(rng.randint(1, 120), rng.randint(1, 5))
-            if X < 1 or Y < 1:
-                continue
-            total = Fraction(0)
-            for n in range(1, floor(X) + 1):
-                cube = n**3
-                for d in range(1, floor(Y) + 1):
-                    if cube % d == 0:
-                        total += r4_star(factorize(d)) * (X - n) * (Y - d)
-            assert mean_value_M(X, Y) == total
+        for k in (1, 2):
+            for _ in range(25):
+                X = Fraction(rng.randint(1, 60), rng.randint(1, 5))
+                Y = Fraction(rng.randint(1, 120), rng.randint(1, 5))
+                if X < 1 or Y < 1:
+                    continue
+                total = Fraction(0)
+                for n in range(1, floor(X) + 1):
+                    cube = n**3
+                    for d in range(1, floor(Y) + 1):
+                        if cube % d == 0:
+                            total += rn_star(factorize(d), k) * (X - n) * (Y - d)
+                assert mean_value_M(X, Y, k) == total
 
     def test_zero_below_one(self):
         assert mean_value_M(Fraction(1, 2), 5) == 0
