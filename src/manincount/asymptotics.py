@@ -86,11 +86,9 @@ class PolynomialP:
     a1: mpf
     a2: mpf
     k: int
-    step_used: float
-    error_estimate: mpf
 
     def __call__(self, t) -> mpf:
-        return self.a2 * t * t + self.a1 * t + self.a0
+        return self.a2 * t**2 + self.a1 * t + self.a0
 
     def deriv1(self, t) -> mpf:
         return 2 * self.a2 * t + self.a1
@@ -132,8 +130,9 @@ def zbar(sigma, digits: int = _DEFAULT_DIGITS) -> mpf:
     """(sigma - 1) * zeta(sigma), analytic through sigma = 1.
 
     Inside |sigma - 1| < 1e-4 the value comes from the Stieltjes-constant
-    Taylor series 1 + sum_n (-1)^n g_n (sigma-1)^(n+1) / n!, which is what
-    makes the triple-pole cancellation in P(t) numerically stable.
+    Taylor series 1 + sum_n (-1)^n g_n (sigma-1)^(n+1) / n!, which keeps the
+    triple-pole cancellation stable when g_k(s) is evaluated at points near
+    s = 1 (the finite-difference route to P(t) in the verify suites).
     """
     with workdps(digits + _GUARD_DIGITS):
         x = mpf(sigma) - 1
@@ -392,77 +391,108 @@ def constants_bundle(
 # the residue polynomial
 
 
-def _g_of_s(s, k: int, prime_limit: int, digits: int) -> mpf:
-    """g_k(s) = 3 (s-1)^3 F3*(s) / ((6k-2-s)(6k+1-s) s (s+1)) with the
-    triple pole cancelled analytically:
-    (s-1)^3 zeta(s) zeta((2s+1)/3) zeta((s+2)/3) = (9/2) zb(s) zb((2s+1)/3) zb((s+2)/3).
+class _Jet:
+    """c0 + c1 e + c2 e^2 modulo e^3: the value and first two Taylor
+    coefficients of a function of e at e = 0.  Mixes with mpf and int
+    scalars, so formulas written for mpf arguments run on jets unchanged."""
+
+    __slots__ = ("c0", "c1", "c2")
+
+    def __init__(self, c0, c1=mpf(0), c2=mpf(0)):
+        self.c0, self.c1, self.c2 = c0, c1, c2
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
+        return _Jet(self.c0 + o, self.c1, self.c2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.c0, -self.c1, -self.c2)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, _Jet):
+            a0, a1, a2 = self.c0, self.c1, self.c2
+            b0, b1, b2 = o.c0, o.c1, o.c2
+            return _Jet(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0)
+        return _Jet(self.c0 * o, self.c1 * o, self.c2 * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.c0 / o, self.c1 / o, self.c2 / o)
+        q0 = self.c0 / o.c0
+        q1 = (self.c1 - q0 * o.c1) / o.c0
+        return _Jet(q0, q1, (self.c2 - q0 * o.c2 - q1 * o.c1) / o.c0)
+
+    def __rpow__(self, base):
+        # base^(c0 + c1 e + c2 e^2) = base^c0 exp(c1 L e + c2 L e^2), L = log base
+        lg = mp.log(base)
+        v = base**self.c0
+        d1 = self.c1 * lg
+        return _Jet(v, v * d1, v * (self.c2 * lg + d1 * d1 / 2))
+
+
+def _gp_odd_jet(p: int, k: int) -> _Jet:
+    """The odd Euler factor G_p(1 + e, (6k-3-e)/3) as a jet in e.
+
+    On the line w = (6k-2-s)/3 every exponent of _gp_odd is an integer plus
+    a multiple of e.  With u = 1/p, E1 = p^(-2e/3) and E2 = p^(-e/3):
+    G_p = [1 + u^2k + u^(4k-1) + (u + u^2k + u^4k) E1 + (u + u^2k + u^(4k-1)) E2]
+          (1 - u E1)(1 - u E2) / (1 - u^(6k-2)),
+    so one log p per prime replaces the transcendental powers.
     """
-    with workdps(digits + _GUARD_DIGITS):
-        s = mpf(s)
-        w3 = (6 * k - 2 - s) / 3
-        g = euler_product_G(s, w3, k, prime_limit, digits).value
-        num = (
-            mpf(3)
-            * mpf(9)
-            / 2
-            * zbar(s, digits)
-            * zbar((2 * s + 1) / 3, digits)
-            * zbar((s + 2) / 3, digits)
-            * g
-        )
-        return +(num / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1)))
+    u = mpf(1) / p
+    lg = mp.log(p)
+    e1 = _Jet(mpf(1), -2 * lg / 3, 2 * lg * lg / 9)
+    e2 = _Jet(mpf(1), -lg / 3, lg * lg / 18)
+    u2k = u ** (2 * k)
+    u4k1 = u ** (4 * k - 1)
+    num = (u + u2k + u4k1 * u) * e1 + (u + u2k + u4k1) * e2 + (1 + u2k + u4k1)
+    return num * (1 - u * e1) * (1 - u * e2) / (1 - u ** (6 * k - 2))
 
 
 def poly_P(
     k: int = 1,
     digits: int = _DEFAULT_DIGITS,
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
-    step: float = 1e-3,
 ) -> PolynomialP:
     """Taylor data of g_k at s = 1: a2 = g(1)/2, a1 = g'(1), a0 = g''(1)/2.
 
     These are the coefficients of the quadratic P(t) whose value, slope and
-    curvature drive the S(x, y) main term.  Derivatives use central
-    differences at steps h, h/2, h/4 plus one Richardson level; the table
-    must contract monotonically or NumericalError is raised.
+    curvature drive the S(x, y) main term.  Here
+    g_k(s) = 3 (s-1)^3 F3*(s) / ((6k-2-s)(6k+1-s) s (s+1)), F3* carrying
+    G(s, (6k-2-s)/3), with the triple pole cancelled analytically:
+    (s-1)^3 zeta(s) zeta((2s+1)/3) zeta((s+2)/3) = (9/2) zb(s) zb((2s+1)/3) zb((s+2)/3).
+    Every factor is carried as its degree-2 jet in e = s - 1: the Euler
+    product in one pass over the primes up to prime_limit, and each zb from
+    its Stieltjes series zb(1 + a e) = 1 + a g0 e - a^2 g1 e^2 + O(e^3).
+    The derivatives are exact for the product truncated at prime_limit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if prime_limit < 2:
+        raise ValueError("prime_limit must be >= 2")
+    primes = primes_upto(prime_limit)
     with workdps(digits + _GUARD_DIGITS):
-        h = mpf(step)
-        g_at: dict[int, mpf] = {}
-        # scaled offsets in units of h/4: -4,-2,-1,0,1,2,4
-        for m in (-4, -2, -1, 0, 1, 2, 4):
-            g_at[m] = _g_of_s(1 + m * h / 4, k, prime_limit, digits)
-
-        def d1(step_units: int) -> mpf:
-            hh = h * step_units / 4
-            return (g_at[step_units] - g_at[-step_units]) / (2 * hh)
-
-        def d2(step_units: int) -> mpf:
-            hh = h * step_units / 4
-            return (g_at[step_units] - 2 * g_at[0] + g_at[-step_units]) / (hh * hh)
-
-        d1_seq = [d1(4), d1(2), d1(1)]
-        d2_seq = [d2(4), d2(2), d2(1)]
-        gaps1 = [abs(d1_seq[0] - d1_seq[1]), abs(d1_seq[1] - d1_seq[2])]
-        gaps2 = [abs(d2_seq[0] - d2_seq[1]), abs(d2_seq[1] - d2_seq[2])]
-        if gaps1[1] > gaps1[0] or gaps2[1] > gaps2[0]:
-            raise NumericalError(
-                f"finite-difference table for g_{k} does not contract: "
-                f"d1 gaps {[mp.nstr(x, 4) for x in gaps1]}, d2 gaps {[mp.nstr(x, 4) for x in gaps2]}"
-            )
-        rich1 = [(4 * d1_seq[i + 1] - d1_seq[i]) / 3 for i in range(2)]
-        rich2 = [(4 * d2_seq[i + 1] - d2_seq[i]) / 3 for i in range(2)]
-        err = max(abs(rich1[1] - rich1[0]), abs(rich2[1] - rich2[0]))
-        return PolynomialP(
-            a0=+(rich2[1] / 2),
-            a1=+rich1[1],
-            a2=+(g_at[0] / 2),
-            k=k,
-            step_used=step,
-            error_estimate=+err,
-        )
+        s = _Jet(mpf(1), mpf(1))
+        w = (6 * k - 2 - s) / 3
+        g = _g2(s, w, k)
+        for p in primes[1:]:
+            g = g * _gp_odd_jet(p, k)
+        g0, g1 = +mp.euler, mp.stieltjes(1)
+        for a in (1, mpf(2) / 3, mpf(1) / 3):
+            g = g * _Jet(mpf(1), a * g0, -a * a * g1)
+        g = mpf(27) / 2 * g / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))
+        return PolynomialP(a0=+g.c2, a1=+g.c1, a2=+(g.c0 / 2), k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,57 @@ def rn_lattice_oracle(n: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# finite-difference oracle for poly_P
+
+
+def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mpf, mpf]:
+    """(a0, a1, a2, error_estimate) of P(t) by finite differences.
+
+    g_k(s) = (27/2) zb(s) zb((2s+1)/3) zb((s+2)/3) G(s, (6k-2-s)/3)
+    / ((6k-2-s)(6k+1-s) s (s+1)) is evaluated at s = 1 + m h/4,
+    m in {-4, -2, -1, 0, 1, 2, 4}, h = 1e-3, through the public
+    euler_product_G and zbar; derivatives come from central differences at
+    steps h, h/2, h/4 plus one Richardson level, and error_estimate is the
+    gap between the two Richardson values.  The table must contract
+    monotonically or NumericalError is raised.  poly_P's jet pass takes the
+    derivatives analytically instead; this route shares neither its odd
+    Euler factor nor its zb expansion.
+    """
+    with workdps(digits + 10):
+        h = mpf(1e-3)
+
+        def g_of_s(s: mpf) -> mpf:
+            g = asymptotics.euler_product_G(s, (6 * k - 2 - s) / 3, k, prime_limit, digits).value
+            num = (mpf(27) / 2 * asymptotics.zbar(s, digits)
+                   * asymptotics.zbar((2 * s + 1) / 3, digits)
+                   * asymptotics.zbar((s + 2) / 3, digits) * g)
+            return num / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))
+
+        # offsets in units of h/4
+        g_at = {m: g_of_s(1 + m * h / 4) for m in (-4, -2, -1, 0, 1, 2, 4)}
+
+        def d1(m: int) -> mpf:
+            return (g_at[m] - g_at[-m]) / (2 * h * m / 4)
+
+        def d2(m: int) -> mpf:
+            return (g_at[m] - 2 * g_at[0] + g_at[-m]) / (h * m / 4) ** 2
+
+        d1_seq = [d1(4), d1(2), d1(1)]
+        d2_seq = [d2(4), d2(2), d2(1)]
+        gaps1 = [abs(d1_seq[0] - d1_seq[1]), abs(d1_seq[1] - d1_seq[2])]
+        gaps2 = [abs(d2_seq[0] - d2_seq[1]), abs(d2_seq[1] - d2_seq[2])]
+        if gaps1[1] > gaps1[0] or gaps2[1] > gaps2[0]:
+            raise asymptotics.NumericalError(
+                f"finite-difference table for g_{k} does not contract: "
+                f"d1 gaps {[mp.nstr(x, 4) for x in gaps1]}, d2 gaps {[mp.nstr(x, 4) for x in gaps2]}"
+            )
+        rich1 = [(4 * d1_seq[i + 1] - d1_seq[i]) / 3 for i in range(2)]
+        rich2 = [(4 * d2_seq[i + 1] - d2_seq[i]) / 3 for i in range(2)]
+        err = max(abs(rich1[1] - rich1[0]), abs(rich2[1] - rich2[0]))
+        return +(rich2[1] / 2), +rich1[1], +(g_at[0] / 2), +err
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -154,10 +205,11 @@ def suite_oracles(budget: str = "quick", workers: int | None = None) -> list[Che
     return out
 
 
-def suite_constants(budget: str = "quick", workers: int | None = None) -> list[CheckResult]:
-    """Cross-route, dual-line and leading-coefficient constant identities."""
+def suite_constants(budget: str = "quick") -> list[CheckResult]:
+    """Cross-route, dual-line, leading-coefficient and P(t)-derivative identities."""
     out: list[CheckResult] = []
     plim = 10_000 if budget == "quick" else 100_000
+    fd_ks = (1,) if budget == "quick" else (1, 2, 3)
     plim_cross = 100_000 if budget == "quick" else 1_000_000
     digits = 30
     with workdps(digits + 10):
@@ -180,9 +232,22 @@ def suite_constants(budget: str = "quick", workers: int | None = None) -> list[C
                 return out
             p = asymptotics.poly_P(k, digits, plim)
             rel = abs(p.a2 - c.value) / abs(c.value)
-            if not _check(out, f"leading-coeff-k{k}", rel < mpf(10) ** -8,
+            if not _check(out, f"leading-coeff-k{k}", rel < mpf(10) ** -25,
                           f"a2 vs C rel={mp.nstr(rel, 6)}"):
                 return out
+            if k in fd_ks:
+                try:
+                    a0, a1, a2, err = _poly_fd_oracle(k, digits, plim)
+                except asymptotics.NumericalError as exc:
+                    _check(out, f"poly-derivatives-k{k}", False, str(exc))
+                    return out
+                gap1, gap0 = abs(p.a1 - a1), abs(p.a0 - a0)
+                rel2 = abs(p.a2 - a2) / abs(a2)
+                if not _check(out, f"poly-derivatives-k{k}",
+                              gap1 <= err and gap0 <= err and rel2 < mpf(10) ** -25,
+                              f"|a1-fd|={mp.nstr(gap1, 3)} |a0-fd|={mp.nstr(gap0, 3)} "
+                              f"fd_error={mp.nstr(err, 3)} a2 rel={mp.nstr(rel2, 3)}"):
+                    return out
             _check(out, f"dual-line-k{k}", True, f"C_script={mp.nstr(c.value, 12)}")
 
         bundle = asymptotics.constants_bundle(4, plim, digits)
@@ -200,8 +265,7 @@ def suite_constants(budget: str = "quick", workers: int | None = None) -> list[C
     return out
 
 
-def suite_bracketing(budget: str = "quick", seed: int = 0,
-                     workers: int | None = None) -> list[CheckResult]:
+def suite_bracketing(budget: str = "quick", seed: int = 0) -> list[CheckResult]:
     """Second-difference bracketing of S by the mean value M, exact rationals."""
     out: list[CheckResult] = []
     trials = 200
@@ -277,5 +341,7 @@ def run_suite(name: str, budget: str = "quick", seed: int = 0,
         raise ValueError(f"unknown suite {name!r}")
     fn = SUITES[name]
     if name == "bracketing":
-        return fn(budget, seed=seed, workers=workers)
+        return fn(budget, seed=seed)
+    if name == "constants":
+        return fn(budget)
     return fn(budget, workers=workers)

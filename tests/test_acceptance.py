@@ -114,10 +114,10 @@ def test_criterion_05_leading_coefficient():
         c = asymptotics.constant_Cn(k, PLIM, DIGITS)
         with workdps(DIGITS + 10):
             rel = abs(p.a2 - c.value) / abs(c.value)
-        ok &= rel < mpf(10) ** -8
+        ok &= rel < mpf(10) ** -25
         rels.append(mp.nstr(rel, 3))
     report(5, ok, f"P(t) leading coefficient equals the constant for k=1,2,3 "
-                  f"(relative gaps {rels}, tolerance 1e-8)")
+                  f"(relative gaps {rels}, tolerance 1e-25)")
 
 
 def test_criterion_06_prefactor_and_dual_line():

@@ -6,6 +6,9 @@ from mpmath import mp, mpf, workdps
 from manincount.arith import primes_upto
 from manincount.asymptotics import (
     DomainError,
+    _g2,
+    _gp_odd_jet,
+    _Jet,
     constant_C4,
     constant_Cn,
     constants_bundle,
@@ -18,6 +21,7 @@ from manincount.asymptotics import (
     zbar,
     zeta_real,
 )
+from manincount.verify import _poly_fd_oracle
 
 PLIM = 10_000
 DIGITS = 30
@@ -216,12 +220,48 @@ class TestPolyP:
             p = poly_P(k, DIGITS, PLIM)
             c = constant_Cn(k, PLIM, DIGITS)
             with workdps(40):
-                assert abs(p.a2 - c.value) / abs(c.value) < mpf(10) ** -8, k
+                assert abs(p.a2 - c.value) / abs(c.value) < mpf(10) ** -25, k
 
-    def test_error_estimate_small(self):
-        p = poly_P(1, DIGITS, PLIM)
-        assert p.error_estimate < mpf(10) ** -10
-        assert p.step_used == 1e-3
+    def test_matches_finite_difference_oracle(self):
+        for k in (1, 2, 3):
+            p = poly_P(k, DIGITS, PLIM)
+            a0, a1, a2, err = _poly_fd_oracle(k, DIGITS, PLIM)
+            with workdps(40):
+                assert err < mpf(10) ** -10, k
+                assert abs(p.a1 - a1) <= err, k
+                assert abs(p.a0 - a0) <= err, k
+                assert abs(p.a2 - a2) / abs(a2) < mpf(10) ** -25, k
+
+    @staticmethod
+    def factor_taylor(p, k):
+        # mp.taylor differentiates at several times the working precision;
+        # local_factor must evaluate at that precision, not round to 60 digits
+        return mp.taylor(
+            lambda e: local_factor(p, 1 + e, (6 * k - 3 - e) / 3, k, digits=mp.dps), 0, 2)
+
+    def test_odd_factor_jet(self):
+        with workdps(60):
+            for k in (1, 2, 3):
+                for p in (3, 5, 101):
+                    jet = _gp_odd_jet(p, k)
+                    for got, want in zip((jet.c0, jet.c1, jet.c2), self.factor_taylor(p, k)):
+                        assert abs(got - want) < mpf(10) ** -30, (p, k)
+
+    def test_two_adic_factor_jet(self):
+        with workdps(60):
+            for k in (1, 2, 3):
+                s = _Jet(mpf(1), mpf(1))
+                jet = _g2(s, (6 * k - 2 - s) / 3, k)
+                for got, want in zip((jet.c0, jet.c1, jet.c2), self.factor_taylor(2, k)):
+                    assert abs(got - want) < mpf(10) ** -30, k
+
+    def test_small_prime_limit(self):
+        with pytest.raises(ValueError):
+            poly_P(1, DIGITS, 1)
+        p = poly_P(1, DIGITS, 2)
+        _, a1, _, err = _poly_fd_oracle(1, DIGITS, 2)
+        with workdps(40):
+            assert abs(p.a1 - a1) <= err
 
     def test_polynomial_evaluation(self):
         p = poly_P(1, DIGITS, PLIM)

@@ -1,6 +1,7 @@
 import json
 
 from manincount.cli import main
+from manincount.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -110,6 +111,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "bracketing", "--seed", "7")
         assert code == 0
         assert "seed=7" in out
+
+    def test_workers_reach_only_pooled_suites(self):
+        constants = run_suite("constants", "quick", workers=2)
+        bracketing = run_suite("bracketing", "quick", workers=2)
+        assert bracketing and all(r.ok for r in constants + bracketing)
+        assert "poly-derivatives-k1" in [r.name for r in constants]
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
