@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from mpmath import mp, mpf, workdps
@@ -499,30 +500,18 @@ def poly_P(
 # main-term predictors
 
 
-_POLY_CACHE: dict[tuple[int, int, int], PolynomialP] = {}
-_BUNDLE_CACHE: dict[tuple[int, int, int], ConstantsBundle] = {}
-
-
+@cache
 def cached_poly(k: int, digits: int = _DEFAULT_DIGITS,
                 prime_limit: int = _DEFAULT_PRIME_LIMIT) -> PolynomialP:
     """poly_P memoized per (k, digits, prime_limit); values are unchanged."""
-    key = (k, digits, prime_limit)
-    poly = _POLY_CACHE.get(key)
-    if poly is None:
-        poly = poly_P(k, digits, prime_limit)
-        _POLY_CACHE[key] = poly
-    return poly
+    return poly_P(k, digits, prime_limit)
 
 
+@cache
 def cached_bundle(n: int, digits: int = _DEFAULT_DIGITS,
                   prime_limit: int = _DEFAULT_PRIME_LIMIT) -> ConstantsBundle:
     """constants_bundle memoized per (n, digits, prime_limit)."""
-    key = (n, digits, prime_limit)
-    bundle = _BUNDLE_CACHE.get(key)
-    if bundle is None:
-        bundle = constants_bundle(n, prime_limit, digits)
-        _BUNDLE_CACHE[key] = bundle
-    return bundle
+    return constants_bundle(n, prime_limit, digits)
 
 
 def predict_S(

@@ -5,17 +5,15 @@ z = 0 has Hessian rank <= 3, so the box [-B, B]^(n+2) holds at least
 (2B+1)^(n+1) points of rank <= 3.  For n + 2 >= 6 that breaks the
 B^(r+eps) bound a rank-stratified count would need, which is exactly what
 these counters let a test observe.
+
+The rank counts come in closed form; the exact matrix and its Bareiss rank
+are kept for the enumeration that ``verify.suite_hessian`` checks them
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from multiprocessing import get_context
-
-from .arith import ResourceBudgetError
-from .counting import resolve_workers
 
 __all__ = [
     "CubicPoint",
@@ -25,10 +23,6 @@ __all__ = [
     "rank_over_rationals",
     "rank_profile",
 ]
-
-# (2B+1)^(n+2) points; covers B = 5 at n = 4
-_ENUM_BUDGET = 2_000_000
-
 
 @dataclass(frozen=True)
 class CubicPoint:
@@ -115,55 +109,33 @@ def rank_over_rationals(h: HessianMatrix) -> int:
     return _int_rank([list(r) for r in h.entries])
 
 
-def _rank_point(x: int, y: tuple[int, ...], z: int) -> int:
-    return rank_over_rationals(hessian_at(CubicPoint(x, y, z)))
-
-
-def _slice_profile(args: tuple[int, int, int]) -> dict[int, int]:
-    x, B, n = args
-    counts: dict[int, int] = {}
-    rng = range(-B, B + 1)
-    for z in rng:
-        for y in product(rng, repeat=n):
-            r = _rank_point(x, y, z)
-            counts[r] = counts.get(r, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=16)
-def _profile_cached(B: int, n: int, workers: int) -> tuple[tuple[int, int], ...]:
-    jobs = [(x, B, n) for x in range(-B, B + 1)]
-    if workers == 1:
-        parts = [_slice_profile(j) for j in jobs]
-    else:
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_slice_profile, jobs)
-    total: dict[int, int] = {}
-    for part in parts:
-        for r, c in part.items():
-            total[r] = total.get(r, 0) + c
-    return tuple(sorted(total.items()))
-
-
-def rank_profile(B: int, n: int = 4, workers: int | None = None) -> dict[int, int]:
+def rank_profile(B: int, n: int = 4) -> dict[int, int]:
     """Number of points of each Hessian rank in the box [-B, B]^(n+2).
 
-    The counts partition (2B+1)^(n+2).  One enumeration serves every rank.
+    The rank is [x != 0] + (n + [y != 0] if z != 0 else 2 [y != 0]): the x
+    row stands alone; for z != 0 the y-diagonal 2z I_n has rank n and its
+    Schur complement in the (y, z) block is -2|y|^2/z; for z = 0 only the
+    2y border is left.  So the profile sums eight classes, one per choice of
+    x, y, z zero or not, of sizes 1 or 2B (x, z) and 1 or (2B+1)^n - 1 (y).
+    The counts partition (2B+1)^(n+2).
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if n < 3:
         raise ValueError("n must be >= 3")
-    if (2 * B + 1) ** (n + 2) > _ENUM_BUDGET:
-        raise ResourceBudgetError(
-            f"rank enumeration over (2*{B}+1)^{n + 2} points exceeds the "
-            f"{_ENUM_BUDGET}-point budget"
-        )
-    return dict(_profile_cached(B, n, resolve_workers(workers)))
+    xz_sizes = ((0, 1), (1, 2 * B))
+    y_sizes = ((0, 1), (1, (2 * B + 1) ** n - 1))
+    profile: dict[int, int] = {}
+    for x_nz, cx in xz_sizes:
+        for y_nz, cy in y_sizes:
+            for z_nz, cz in xz_sizes:
+                r = x_nz + (n + y_nz if z_nz else 2 * y_nz)
+                profile[r] = profile.get(r, 0) + cx * cy * cz
+    return dict(sorted(profile.items()))
 
 
-def count_rank_points(B: int, n: int = 4, r: int = 0, workers: int | None = None) -> int:
+def count_rank_points(B: int, n: int = 4, r: int = 0) -> int:
     """Points in the box [-B, B]^(n+2) whose Hessian rank is exactly r."""
     if not 0 <= r <= n + 2:
         raise ValueError(f"rank must lie in 0..{n + 2}")
-    return rank_profile(B, n, workers).get(r, 0)
+    return rank_profile(B, n).get(r, 0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial, floor, isqrt
 
 from mpmath import mp, mpf, workdps
@@ -145,7 +146,8 @@ def suite_identities(budget: str = "quick", workers: int | None = None) -> list[
                    f"B={B}: A={A[B]}, 16(S-T)={16 * (S[B] - T[B])}")
             return out
     _check(out, "affine-identity", True, f"all B <= {bmax}")
-    samples = sorted({1, 2, 3, 5, 17, 100, 211, bmax // 7 + 1, bmax // 2, bmax})
+    # min(999, bmax) adds B = 999 at full and repeats bmax at quick
+    samples = sorted({1, 2, 3, 5, 17, 100, 211, min(999, bmax), bmax // 7 + 1, bmax // 2, bmax})
     for B in samples:
         okS = S[B] == counting.s_sum(B, B * B, 1, workers=workers)
         okT = T[B] == counting.t_sum(B, 1, workers=workers)
@@ -265,7 +267,7 @@ def suite_constants(budget: str = "quick") -> list[CheckResult]:
     return out
 
 
-def suite_bracketing(budget: str = "quick", seed: int = 0) -> list[CheckResult]:
+def suite_bracketing(seed: int = 0) -> list[CheckResult]:
     """Second-difference bracketing of S by the mean value M, exact rationals."""
     out: list[CheckResult] = []
     trials = 200
@@ -286,27 +288,31 @@ def suite_bracketing(budget: str = "quick", seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def suite_hessian(budget: str = "quick", workers: int | None = None) -> list[CheckResult]:
-    """Rank-stratified box counts and the z = 0 rank collapse."""
+def suite_hessian(budget: str = "quick") -> list[CheckResult]:
+    """Closed-form rank counts against a Bareiss enumeration of the whole
+    box, and the z = 0 rank collapse."""
     out: list[CheckResult] = []
     bmax = 2 if budget == "quick" else 3
     n = 4
-    from itertools import product as iproduct
-
     for B in range(1, bmax + 1):
-        rng = range(-B, B + 1)
+        enumerated: dict[int, int] = {}
         worst = 0
-        for x in rng:
-            for y in iproduct(rng, repeat=n):
-                r = hessian.rank_over_rationals(
-                    hessian.hessian_at(hessian.CubicPoint(x, y, 0)))
+        for x, *y, z in product(range(-B, B + 1), repeat=n + 2):
+            p = hessian.CubicPoint(x, tuple(y), z)
+            r = hessian.rank_over_rationals(hessian.hessian_at(p))
+            enumerated[r] = enumerated.get(r, 0) + 1
+            if z == 0:
                 worst = max(worst, r)
                 if r > 3:
-                    _check(out, f"z0-rank-B{B}", False, f"x={x} y={y}: rank {r} > 3")
+                    _check(out, f"z0-rank-B{B}", False, f"x={x} y={p.y}: rank {r} > 3")
                     return out
         _check(out, f"z0-rank-B{B}", True, f"max rank {worst} over z=0 slice")
 
-        prof = hessian.rank_profile(B, n, workers=workers)
+        prof = hessian.rank_profile(B, n)
+        enumerated = dict(sorted(enumerated.items()))
+        if not _check(out, f"rank-profile-B{B}", prof == enumerated,
+                      f"closed form {prof}, enumeration {enumerated}"):
+            return out
         total = sum(prof.values())
         if not _check(out, f"rank-partition-B{B}", total == (2 * B + 1) ** (n + 2),
                       f"sum {total}"):
@@ -341,7 +347,7 @@ def run_suite(name: str, budget: str = "quick", seed: int = 0,
         raise ValueError(f"unknown suite {name!r}")
     fn = SUITES[name]
     if name == "bracketing":
-        return fn(budget, seed=seed)
-    if name == "constants":
-        return fn(budget)
-    return fn(budget, workers=workers)
+        return fn(seed=seed)
+    if name in ("identities", "oracles"):
+        return fn(budget, workers=workers)
+    return fn(budget)

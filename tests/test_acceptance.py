@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, workdps
 
-from manincount import arith, asymptotics, counting, verify
+from manincount import asymptotics, verify
 from manincount.cli import scan_rows
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -37,6 +37,27 @@ def trend_csvs():
     return {q: scan_rows(q, TREND_B, 4, workers=1) for q in TREND_QUANTITIES}
 
 
+@pytest.fixture(scope="module")
+def identity_results():
+    """The full identities suite at workers=1 (shared with #10)."""
+    return verify.suite_identities("full", workers=1)
+
+
+@pytest.fixture(scope="module")
+def oracle_results():
+    """One full oracles suite run, shared by #02 and #03."""
+    return verify.suite_oracles("full")
+
+
+def named_checks(results, names):
+    """(all named checks ran and passed, their details joined)."""
+    by_name = {r.name: r for r in results}
+    ok = all(name in by_name and by_name[name].ok for name in names)
+    detail = "; ".join(f"{name}: {by_name[name].detail if name in by_name else 'not run'}"
+                       for name in names)
+    return ok, detail
+
+
 def parse_scan(csv_text):
     rows = {}
     lines = csv_text.strip().splitlines()
@@ -52,46 +73,28 @@ def parse_scan(csv_text):
     return rows
 
 
-def test_criterion_01_exact_decomposition():
-    bmax = 10_000
-    S, T, A = counting.identity_scan(bmax)
-    bad = [B for B in range(1, bmax + 1) if A[B] != 16 * (S[B] - T[B])]
-    spot = True
-    for B in (1, 2, 3, 17, 100, 999, 5000, bmax):
-        spot &= S[B] == counting.s_sum(B, B * B, 1)
-        spot &= T[B] == counting.t_sum(B, 1)
-        spot &= A[B] == counting.count_affine_exact(B, 4)
-    report(1, not bad and spot,
-           f"N*_4(B) = 16(S(B,B^2) - T(B)) exactly for all B <= {bmax} "
-           f"(scan cross-checked against the API at 8 sampled B)")
+def test_criterion_01_exact_decomposition(identity_results):
+    samples = (1, 2, 3, 17, 100, 999, 5000, 10_000)
+    ok, _ = named_checks(identity_results,
+                         ["affine-identity"] + [f"scan-vs-api-B{B}" for B in samples])
+    last = identity_results[-1]
+    report(1, ok and all(r.ok for r in identity_results),
+           f"N*_4(B) = 16(S(B,B^2) - T(B)) exactly for all B <= 10000, scan "
+           f"cross-checked against the API at sampled B including {samples} "
+           f"(last check {last.name}: {last.detail})")
 
 
-def test_criterion_02_oracle_equivalence():
-    ok = True
-    detail = []
-    for n in (4, 8):
-        counting.count_affine_bruteforce(200, n)  # build the biggest table first
-        mism = [B for B in range(1, 201)
-                if counting.count_affine_exact(B, n) != counting.count_affine_bruteforce(B, n)]
-        ok &= not mism
-        detail.append(f"affine n={n}: B<=200")
-    mism = [B for B in range(1, 513)
-            if counting.count_projective(B, 4) != counting.count_projective_bruteforce(B, 4)]
-    ok &= not mism
-    detail.append("projective n=4: B<=512")
-    report(2, ok, "; ".join(detail))
+def test_criterion_02_oracle_equivalence(oracle_results):
+    ok, detail = named_checks(oracle_results, ["affine-oracle-n4", "affine-oracle-n8",
+                                               "projective-oracle-n4"])
+    report(2, ok, detail)
 
 
-def test_criterion_03_r_function_oracles():
-    table4 = arith.rn_exact_table(4, 10_000)
-    ok = all(arith.r4(d) == table4[d] for d in range(1, 10_001))
-    for n in (8, 12):
-        table = arith.rn_exact_table(n, 200)
-        ok &= all(table[d] == verify.rn_lattice_oracle(n, d) for d in range(201))
-    ok &= arith.rn_star(arith.factorize(2), 2) == 7
-    ok &= arith.rn_exact_table(8, 2)[2] // 16 == 7
-    report(3, ok, "r4 vs lattice table d<=1e4; r8/r12 tables vs square-partition "
-                  "oracle d<=200; r8(2)/16 = rn_star(2,k=2) = 7")
+def test_criterion_03_r_function_oracles(oracle_results):
+    ok, detail = named_checks(oracle_results, ["r4-oracle", "rn-table-oracle-n8",
+                                               "rn-table-oracle-n12", "r8-prime-power"])
+    report(3, ok, "r4 vs lattice table; r8/r12 tables vs square-partition oracle; "
+                  f"r8(2)/16 = rn_star(2,k=2) = 7: {detail}")
 
 
 def test_criterion_04_constant_cross_route():
@@ -135,7 +138,7 @@ def test_criterion_06_prefactor_and_dual_line():
 
 
 def test_criterion_07_bracketing():
-    results = verify.suite_bracketing(budget="full", seed=7)
+    results = verify.suite_bracketing(seed=7)
     ok = all(r.ok for r in results)
     report(7, ok, "200 seeded rational boxes (X<=50, Y<=200): "
                   "D(M) lower <= HJ S <= D(M) upper in exact arithmetic")
@@ -183,23 +186,24 @@ def test_criterion_08_asymptotic_trend(trend_csvs):
 def test_criterion_09_hessian_audit():
     results = verify.suite_hessian(budget="full")
     ok = all(r.ok for r in results)
-    report(9, ok, "z=0 forces rank <= 3 over the B<=3 box (n=4); rank<=3 counts "
+    report(9, ok, "z=0 forces rank <= 3 over the B<=3 box (n=4); the closed-form "
+                  "rank profile equals the Bareiss enumeration and its rank<=3 counts "
                   "reach (2B+1)^5 for B=1,2,3")
 
 
-def test_criterion_10_determinism(trend_csvs):
+def test_criterion_10_determinism(trend_csvs, identity_results):
     scans_ok = True
     for q in TREND_QUANTITIES:
         for w in (4, 8):
             if scan_rows(q, TREND_B, 4, workers=w) != trend_csvs[q]:
                 scans_ok = False
 
-    def identity_report(workers):
-        res = verify.suite_identities(budget="full", workers=workers)
-        return "\n".join(f"{r.ok} {r.name} {r.detail}" for r in res)
+    def identity_report(results):
+        return "\n".join(f"{r.ok} {r.name} {r.detail}" for r in results)
 
-    ref = identity_report(1)
-    ident_ok = all(identity_report(w) == ref for w in (4, 8))
+    ref = identity_report(identity_results)
+    ident_ok = all(identity_report(verify.suite_identities("full", workers=w)) == ref
+                   for w in (4, 8))
     report(10, scans_ok and ident_ok,
            "trend scans and the full identity report are byte-identical at "
            "worker counts 1, 4, 8")

@@ -115,8 +115,10 @@ class TestVerify:
     def test_workers_reach_only_pooled_suites(self):
         constants = run_suite("constants", "quick", workers=2)
         bracketing = run_suite("bracketing", "quick", workers=2)
-        assert bracketing and all(r.ok for r in constants + bracketing)
+        hessian = run_suite("hessian", "quick", workers=2)
+        assert bracketing and all(r.ok for r in constants + bracketing + hessian)
         assert "poly-derivatives-k1" in [r.name for r in constants]
+        assert "rank-profile-B2" in [r.name for r in hessian]
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")

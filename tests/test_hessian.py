@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 
-from manincount.arith import ResourceBudgetError
 from manincount.hessian import (
     CubicPoint,
     HessianMatrix,
@@ -106,9 +105,18 @@ class TestRankCounts:
             cum = sum(c for r, c in prof.items() if r <= 3)
             assert cum >= (2 * B + 1) ** 5
 
-    def test_budget_guard(self):
-        with pytest.raises(ResourceBudgetError):
-            rank_profile(6, 8)
+    def test_any_box_size(self):
+        assert sum(rank_profile(6, 8).values()) == 13**10
+        B = 10**6
+        prof = rank_profile(B, 4)
+        assert prof[0] == 1
+        assert prof[1] == 2 * B
+        assert prof[2] == (2 * B + 1) ** 4 - 1
 
-    def test_worker_invariance(self):
-        assert rank_profile(1, 4, workers=3) == rank_profile(1, 4, workers=1)
+    def test_matches_enumeration(self):
+        for B, n in ((1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (1, 6)):
+            counts = {}
+            for x, *y, z in product(range(-B, B + 1), repeat=n + 2):
+                r = rank_over_rationals(hessian_at(CubicPoint(x, tuple(y), z)))
+                counts[r] = counts.get(r, 0) + 1
+            assert rank_profile(B, n) == counts, (B, n)
