@@ -3,10 +3,13 @@ asymptotics, the residue polynomial P(t), and the main-term predictors.
 
 Everything runs through mpmath at a caller-chosen number of digits
 (30 minimum for constants work; double precision has no headroom for the
-dual-route identities).  Euler products accumulate over primes in fixed
-ascending order inside fixed-size blocks, so a given (s, w, k,
-prime_limit, digits) always reproduces the same bits regardless of how
-the blocks are farmed out.
+dual-route identities).  The odd-prime products of euler_product_G,
+constant_Cn's expanded form and poly_P run in exact integer fixed point:
+each factor is a Python int scaled by 2^W, W the working precision plus
+_FIXED_GUARD_BITS, the primes are multiplied in ascending order with one
+truncation per multiply, and the result becomes an mpf once.  So a given
+(s, w, k, prime_limit, digits) always reproduces the same bits.
+constant_C4, the independent twin of (3/16) G(1, 1), stays on mpf.
 
 Normalization note: the leading constant is defined here as
 C_script(4k) = (3 / (16 k (2k-1))) * G(1, 2k-1), with the matching
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 
 from .arith import bernoulli, primes_upto
 
@@ -50,6 +53,9 @@ __all__ = [
 ]
 
 _GUARD_DIGITS = 10
+# one truncation of at most one unit of 2^-W per multiply, a handful of
+# multiplies per prime: 40 bits absorb them for any prime count below 2^30
+_FIXED_GUARD_BITS = 40
 _BLOCK = 2048
 _DEFAULT_PRIME_LIMIT = 100_000
 _DEFAULT_DIGITS = 30
@@ -244,7 +250,15 @@ def euler_product_G(
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
     digits: int = _DEFAULT_DIGITS,
 ) -> EulerProductValue:
-    """G(s, w) = prod_p G_p(s, w) truncated at prime_limit, with tail bound."""
+    """G(s, w) = prod_p G_p(s, w) truncated at prime_limit, with tail bound.
+
+    The odd factors are _gp_odd's formula in fixed point.  Its nine
+    monomials z^c p^-(a s + b w) = p^-(a s + b w - c(2k-1)) have exponents
+    >= 1/2 on the domain.  Write t_b = s + b w = n_b + f_b with n_b an
+    integer and 0 <= f_b < 1; then a = 1 monomials are p^-f_b // p^(n_b -
+    c(2k-1)), the one with a = 2 is the square of (b, c) = (2, 1), and
+    p^-f_b is exactly 1 when t_b is an integer, else one exp per prime.
+    """
     _check_domain(s, w, k)
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
@@ -252,14 +266,41 @@ def euler_product_G(
     with workdps(digits + _GUARD_DIGITS):
         s = mpf(s)
         w = mpf(w)
-        prod = mpf(1)
-        # fixed-size blocks, multiplied in ascending order: the reduction
-        # tree does not depend on how many workers execute the blocks
-        for lo in range(0, len(primes), _BLOCK):
-            block = mpf(1)
-            for p in primes[lo : lo + _BLOCK]:
-                block *= _g2(s, w, k) if p == 2 else _gp_odd(mpf(p), s, w, k)
-            prod *= block
+        q = 2 * k - 1
+        splits = []
+        for b in (1, 2, 3):
+            t = s + b * w
+            n = int(mp.floor(t))
+            splits.append((n, t - n))
+        (n1, f1), (n2, f2), (n3, f3) = splits
+        fractional = any(f for _, f in splits)
+        W = mp.prec + _FIXED_GUARD_BITS
+        one = 1 << W
+        num = den = one
+        x1 = x2 = x3 = one
+        with workprec(W):
+            for p in primes[1:]:
+                if fractional:
+                    lg = mp.log(p)
+                    x1, x2, x3 = (int(mp.ldexp(mp.exp(-f * lg), W)) if f else one
+                                  for f in (f1, f2, f3))
+                # m_bc = z^c X_b with X_b = p^-t_b; floor(floor(x/a)/b) = floor(x/ab),
+                # so each is exactly x_b // p^(n_b - cq)
+                z = p**q
+                m11 = x1 // p ** (n1 - q)
+                m10 = m11 // z
+                m22 = x2 // p ** (n2 - 2 * q)
+                m21 = m22 // z
+                m20 = m21 // z
+                m32 = x3 // p ** (n3 - 2 * q)
+                m31 = m32 // z
+                m30 = m31 // z
+                # G_p = [1 + (z+1) X1 + (z^2+z+1) X2 + (z^2+z) X3 + z^2 X2^2]
+                #       (1 - z X1)(1 - z^2 X2) / (1 - X3)
+                top = one + m10 + m11 + m20 + m21 + m22 + m31 + m32 + (m21 * m21 >> W)
+                num = num * top * (one - m11) * (one - m22) >> 3 * W
+                den = den * (one - m30) >> W
+        prod = _g2(s, w, k) * mp.ldexp(num, -W) / mp.ldexp(den, -W)
         tail_log = _tail_log_bound(s, w, k, prime_limit)
         return EulerProductValue(+prod, prime_limit, +mp.expm1(tail_log))
 
@@ -321,18 +362,15 @@ def constant_Cn(
             2 - half ** (2 * k) - half ** (4 * k - 1) - half ** (6 * k - 3)
         )
         pref = Fraction(3) * bracket / (128 * k * (2 * k - 1) * (2 ** (2 * k - 1) - 1))
-        prod = mpf(1)
-        primes = primes_upto(prime_limit)
-        for lo in range(0, len(primes), _BLOCK):
-            block = mpf(1)
-            for p in primes[lo : lo + _BLOCK]:
-                if p == 2:
-                    continue
-                u = mpf(1) / p
-                block *= (
-                    1 + 2 * u + 3 * u ** (2 * k) + 2 * u ** (4 * k - 1) + u ** (4 * k)
-                ) * (1 - u) ** 2
-            prod *= block
+        W = mp.prec + _FIXED_GUARD_BITS
+        one = 1 << W
+        acc = one
+        for p in primes_upto(prime_limit)[1:]:
+            u = one // p
+            f = (one + 2 * u + 3 * (one // p ** (2 * k)) + 2 * (one // p ** (4 * k - 1))
+                 + one // p ** (4 * k))
+            acc = acc * f * (one - u) ** 2 >> 3 * W
+        prod = mp.ldexp(acc, -W)
         expanded = mpf(pref.numerator) / pref.denominator * mp.zeta(6 * k - 2) * prod
 
         rel = abs(compact - expanded) / abs(compact)
@@ -442,23 +480,12 @@ class _Jet:
         return _Jet(v, v * d1, v * (self.c2 * lg + d1 * d1 / 2))
 
 
-def _gp_odd_jet(p: int, k: int) -> _Jet:
-    """The odd Euler factor G_p(1 + e, (6k-3-e)/3) as a jet in e.
-
-    On the line w = (6k-2-s)/3 every exponent of _gp_odd is an integer plus
-    a multiple of e.  With u = 1/p, E1 = p^(-2e/3) and E2 = p^(-e/3):
-    G_p = [1 + u^2k + u^(4k-1) + (u + u^2k + u^4k) E1 + (u + u^2k + u^(4k-1)) E2]
-          (1 - u E1)(1 - u E2) / (1 - u^(6k-2)),
-    so one log p per prime replaces the transcendental powers.
-    """
-    u = mpf(1) / p
-    lg = mp.log(p)
-    e1 = _Jet(mpf(1), -2 * lg / 3, 2 * lg * lg / 9)
-    e2 = _Jet(mpf(1), -lg / 3, lg * lg / 18)
-    u2k = u ** (2 * k)
-    u4k1 = u ** (4 * k - 1)
-    num = (u + u2k + u4k1 * u) * e1 + (u + u2k + u4k1) * e2 + (1 + u2k + u4k1)
-    return num * (1 - u * e1) * (1 - u * e2) / (1 - u ** (6 * k - 2))
+def _fixed_jet_mul(x: tuple[int, int, int], y: tuple[int, int, int], W: int
+                   ) -> tuple[int, int, int]:
+    """The product of two degree-2 jets whose coefficients are ints scaled by 2^W."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return x0 * y0 >> W, (x0 * y1 + x1 * y0) >> W, (x0 * y2 + x1 * y1 + x2 * y0) >> W
 
 
 def poly_P(
@@ -477,6 +504,15 @@ def poly_P(
     product in one pass over the primes up to prime_limit, and each zb from
     its Stieltjes series zb(1 + a e) = 1 + a g0 e - a^2 g1 e^2 + O(e^3).
     The derivatives are exact for the product truncated at prime_limit.
+
+    On the line w = (6k-2-s)/3 every exponent of the odd factor is an
+    integer plus a multiple of e.  With u = 1/p, E1 = p^(-2e/3) and
+    E2 = p^(-e/3),
+    G_p = [1 + u^2k + u^(4k-1) + (u + u^2k + u^4k) E1 + (u + u^2k + u^(4k-1)) E2]
+          (1 - u E1)(1 - u E2) / (1 - u^(6k-2)),
+    and with L = log p, E1 = 1 - (2L/3) e + (2L^2/9) e^2 and
+    E2 = 1 - (L/3) e + (L^2/18) e^2.  The odd jets are multiplied in fixed
+    point, the denominators as one separate product.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -486,9 +522,30 @@ def poly_P(
     with workdps(digits + _GUARD_DIGITS):
         s = _Jet(mpf(1), mpf(1))
         w = (6 * k - 2 - s) / 3
-        g = _g2(s, w, k)
-        for p in primes[1:]:
-            g = g * _gp_odd_jet(p, k)
+        W = mp.prec + _FIXED_GUARD_BITS
+        one = 1 << W
+        acc = (one, 0, 0)
+        den = one
+        with workprec(W):
+            for p in primes[1:]:
+                lg = int(mp.ldexp(mp.log(p), W))
+                lg2 = lg * lg >> W
+                e11, e12 = -2 * lg // 3, 2 * lg2 // 9
+                e21, e22 = -lg // 3, lg2 // 18
+                u = one // p
+                u2k = one // p ** (2 * k)
+                u4k1 = one // p ** (4 * k - 1)
+                a = u + u2k + one // p ** (4 * k)
+                b = u + u2k + u4k1
+                num = (a + b + one + u2k + u4k1,
+                       (a * e11 + b * e21) >> W, (a * e12 + b * e22) >> W)
+                r = one - u
+                lin1 = (r, -(u * e11) >> W, -(u * e12) >> W)
+                lin2 = (r, -(u * e21) >> W, -(u * e22) >> W)
+                acc = _fixed_jet_mul(acc, _fixed_jet_mul(num, _fixed_jet_mul(lin1, lin2, W), W), W)
+                den = den * (one - one // p ** (6 * k - 2)) >> W
+        odd = _Jet(*(mp.ldexp(c, -W) for c in acc)) / mp.ldexp(den, -W)
+        g = _g2(s, w, k) * odd
         g0, g1 = +mp.euler, mp.stieltjes(1)
         for a in (1, mpf(2) / 3, mpf(1) / 3):
             g = g * _Jet(mpf(1), a * g0, -a * a * g1)

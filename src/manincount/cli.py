@@ -131,8 +131,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
         }
         notes = list(bundle.notes)
         if n == 4:
-            # constant_C4 needs prime_limit >= 100; the n = 4 bundle above
-            # already fails its own consistency check below 373
+            # constant_C4 needs prime_limit >= 100 and raises ValueError
+            # (exit 2) below it; the n = 4 bundle above accepts any limit >= 2
             direct = asymptotics.constant_C4(plim, digits)
             residual = abs(bundle.C_script - direct.value)
             doc["cross_route_residual"] = _nstr(residual, 8)

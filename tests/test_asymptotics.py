@@ -7,7 +7,6 @@ from manincount.arith import primes_upto
 from manincount.asymptotics import (
     DomainError,
     _g2,
-    _gp_odd_jet,
     _Jet,
     constant_C4,
     constant_Cn,
@@ -51,6 +50,46 @@ def dyadic_prefactor(k: int) -> Fraction:
         2 - half ** (2 * k) - half ** (4 * k - 1) - half ** (6 * k - 3)
     )
     return Fraction(3) * bracket / (128 * k * (2 * k - 1) * (2 ** (2 * k - 1) - 1))
+
+
+def _gp_odd_jet(p: int, k: int) -> _Jet:
+    """The odd Euler factor G_p(1 + e, (6k-3-e)/3) as an mpf jet in e.
+
+    With u = 1/p, E1 = p^(-2e/3) and E2 = p^(-e/3):
+    G_p = [1 + u^2k + u^(4k-1) + (u + u^2k + u^4k) E1 + (u + u^2k + u^(4k-1)) E2]
+          (1 - u E1)(1 - u E2) / (1 - u^(6k-2)).
+    """
+    u = mpf(1) / p
+    lg = mp.log(p)
+    e1 = _Jet(mpf(1), -2 * lg / 3, 2 * lg * lg / 9)
+    e2 = _Jet(mpf(1), -lg / 3, lg * lg / 18)
+    u2k = u ** (2 * k)
+    u4k1 = u ** (4 * k - 1)
+    num = (u + u2k + u4k1 * u) * e1 + (u + u2k + u4k1) * e2 + (1 + u2k + u4k1)
+    return num * (1 - u * e1) * (1 - u * e2) / (1 - u ** (6 * k - 2))
+
+
+def poly_P_mpf(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mpf]:
+    """(a0, a1, a2) from an mpf jet pass over _gp_odd_jet at digits + 20."""
+    with workdps(digits + 20):
+        s = _Jet(mpf(1), mpf(1))
+        g = _g2(s, (6 * k - 2 - s) / 3, k)
+        for p in primes_upto(prime_limit)[1:]:
+            g = g * _gp_odd_jet(p, k)
+        g0, g1 = +mp.euler, mp.stieltjes(1)
+        for a in (1, mpf(2) / 3, mpf(1) / 3):
+            g = g * _Jet(mpf(1), a * g0, -a * a * g1)
+        g = mpf(27) / 2 * g / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))
+        return g.c2, g.c1, g.c0 / 2
+
+
+def euler_product_mpf(s, w, k: int, digits: int, prime_limit: int) -> mpf:
+    """_g2 times the product of local_factor over odd p <= prime_limit at digits + 20."""
+    with workdps(digits + 20):
+        prod = _g2(mpf(s), mpf(w), k)
+        for p in primes_upto(prime_limit)[1:]:
+            prod *= local_factor(p, s, w, k, digits=digits + 20)
+        return prod
 
 
 class TestZeta:
@@ -155,10 +194,24 @@ class TestEulerProduct:
             assert abs(v1.value - v2.value) / abs(v1.value) <= v1.tail_bound
 
     def test_worker_split_irrelevant(self):
-        # block structure is fixed, so any farm-out reproduces the same bits
+        # the product is exact integer fixed point over the primes in
+        # ascending order, so every call reproduces the same bits
         a = euler_product_G(1, 1, 1, 30_000, 30)
         b = euler_product_G(1, 1, 1, 30_000, 30)
         assert mp.nstr(a.value, 40) == mp.nstr(b.value, 40)
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    @pytest.mark.parametrize("prime_limit", [2, 3, 3000])
+    def test_matches_mpf_product(self, digits, prime_limit):
+        # integer points take ONE // p^e, the non-integer one exp per prime
+        with workdps(digits):
+            s1 = 1 + mpf("2.5e-4")
+            points = [(1, 1, 1), (1, 3, 2), (1, 5, 3), (s1, (4 - s1) / 3, 1)]
+        for (s, w, k) in points:
+            got = euler_product_G(s, w, k, prime_limit, digits).value
+            want = euler_product_mpf(s, w, k, digits, prime_limit)
+            with workdps(digits + 20):
+                assert abs(got - want) / abs(want) < mpf(10) ** -(digits + 3), (s, w, k)
 
 
 class TestConstants:
@@ -185,6 +238,17 @@ class TestConstants:
     def test_dual_line_agreement(self):
         for k in (1, 2, 3):
             constant_Cn(k, PLIM, DIGITS, consistency_tol=1e-9)  # raises on failure
+
+    @pytest.mark.parametrize("prime_limit", [2, 3])
+    def test_tiny_prime_limits_match_mpf_product(self, prime_limit):
+        # the expanded form's loop is covered by constant_Cn's own check,
+        # which raises if that loop drops or repeats the prime 3
+        for k in (1, 2, 3):
+            c = constant_Cn(k, prime_limit, DIGITS, consistency_tol=1e-9)
+            g = euler_product_mpf(1, 2 * k - 1, k, DIGITS, prime_limit)
+            with workdps(50):
+                want = mpf(3) / (16 * k * (2 * k - 1)) * g
+                assert abs(c.value - want) / abs(want) < mpf(10) ** -(DIGITS + 3), k
 
     @pytest.mark.parametrize("n, plim", [(4, 2), (4, 50), (4, 99), (4, 200), (4, 372), (8, 2), (12, 2)])
     def test_small_prime_limits_consistent(self, n, plim):
@@ -254,6 +318,15 @@ class TestPolyP:
                 jet = _g2(s, (6 * k - 2 - s) / 3, k)
                 for got, want in zip((jet.c0, jet.c1, jet.c2), self.factor_taylor(2, k)):
                     assert abs(got - want) < mpf(10) ** -30, k
+
+    @pytest.mark.parametrize("prime_limit", [2, 3, 3000])
+    def test_matches_mpf_jet_pass(self, prime_limit):
+        for k in (1, 2, 3):
+            p = poly_P(k, 30, prime_limit)
+            want = poly_P_mpf(k, 30, prime_limit)
+            with workdps(50):
+                for got, ref in zip((p.a0, p.a1, p.a2), want):
+                    assert abs(got - ref) / abs(ref) < mpf("1e-35"), (k, got, ref)
 
     def test_small_prime_limit(self):
         with pytest.raises(ValueError):
