@@ -4,10 +4,12 @@ with independent brute-force oracles.
 
 All counters are exact; divisor-range conditions are integer
 cross-multiplications (d*B >= m**3 and the like), never floats.  The
-heavy sums cut the outer range into fixed blocks of _SIEVE_BLOCK values,
-whatever the worker count, and start a process pool only when there are
-two blocks or more; exact integer addition makes the result independent
-of the worker count.
+fast paths read every n through its prime-power tables, which one
+segmented sieve builds block by block, and walk the divisors of n**3 on
+them.  The heavy sums cut the outer range into fixed blocks of
+_SIEVE_BLOCK values, whatever the worker count, and start a process pool
+only when there are two blocks or more; exact integer addition makes the
+result independent of the worker count.
 """
 
 from __future__ import annotations
@@ -100,106 +102,129 @@ def introot(x: int, e: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# factoring a contiguous block of integers
+# prime-power tables of a contiguous block of integers
 
 # Values of m sieved at once.  A constant, so peak memory stays flat in x
 # and does not depend on the worker count.
 _SIEVE_BLOCK = 1 << 15
 
+# One prime power p^e of m, as the walks over the divisors of m**3 read it:
+# (p^0..p^(3e), r_{4k}*(p^0)..r_{4k}*(p^(3e)), p^(3e), their r* sum).
+# Immutable, because the m of a sieve block share them.
+Entry = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
-def _factor_range(lo: int, hi: int) -> list[list[tuple[int, int]]]:
-    """Factorizations of lo..hi-1 by a segmented sieve over the block.
+
+def _entry(p: int, e: int, k: int) -> Entry:
+    e3 = 3 * e
+    pw = [1] * (e3 + 1)
+    for j in range(1, e3 + 1):
+        pw[j] = pw[j - 1] * p
+    rv = tuple(rn_star_prime_powers(p, e3, k))
+    return tuple(pw), rv, pw[e3], sum(rv)
+
+
+def _block_tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]:
+    """(m, tables of m) for 1 <= lo <= m < hi, by a segmented sieve over
+    the block; the tables list one entry per prime power of m, largest
+    prime first.
 
     After dividing out every prime <= sqrt(hi-1) the residual cofactor is
-    1 or prime, so no per-element primality work is needed.
+    1 or prime, so no per-element primality work is needed.  The m of the
+    block share one entry per (p, e) of the sieved primes; the cofactor's
+    entry is built as its m is yielded, and each m's list is dropped from
+    the block once yielded, so the walk releases it when done.
     """
-    size = hi - lo
     rem = list(range(lo, hi))
-    facs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for p in primes_upto(isqrt(hi - 1) if hi > 1 else 1):
-        for m in range(((lo + p - 1) // p) * p, hi, p):
-            i = m - lo
+    tabs: list[list[Entry] | None] = [[] for _ in range(hi - lo)]
+    shared: dict[tuple[int, int], Entry] = {}
+    for p in primes_upto(isqrt(hi - 1)):
+        for i in range(-lo % p, hi - lo, p):
             e = 0
-            while rem[i] % p == 0:
-                rem[i] //= p
+            v = rem[i]
+            while v % p == 0:
+                v //= p
                 e += 1
-            facs[i].append((p, e))
-    for i in range(size):
-        if rem[i] > 1:
-            facs[i].append((rem[i], 1))
-    return facs
+            rem[i] = v
+            ent = shared.get((p, e))
+            if ent is None:
+                ent = shared[p, e] = _entry(p, e, k)
+            tabs[i].append(ent)
+    for i, q in enumerate(rem):
+        t = tabs[i]
+        tabs[i] = None
+        if q > 1:
+            t.append(_entry(q, 1, k))
+        t.reverse()  # largest prime first
+        yield lo + i, t
 
 
-def _factored(lo: int, hi: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(m, factorization of m) for lo <= m < hi, sieved _SIEVE_BLOCK values at a time."""
+def _tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]:
+    """(m, tables of m) for lo <= m < hi, sieved _SIEVE_BLOCK values at a time."""
     for a in range(lo, hi, _SIEVE_BLOCK):
-        b = min(a + _SIEVE_BLOCK, hi)
-        yield from zip(range(a, b), _factor_range(a, b))
+        yield from _block_tables(a, min(a + _SIEVE_BLOCK, hi), k)
 
 
 # ---------------------------------------------------------------------------
 # the two walks over the divisors of n**3
 #
-# Both walk prime-by-prime, largest prime first, on the prime-power tables
-# of _cube_tables.  _rstar_sum folds: whenever the whole remaining subtree
-# fits in the range it is summed in closed form (the inner sums are
-# multiplicative), and a subtree whose largest divisor lies below the range
-# is dropped, so the walk only ever touches the boundary region.
-# _cube_divisors lists every divisor, for callers that need each d.
+# Both walk prime-by-prime, largest prime first, on the tables of _tables.
+# _rstar_sum folds: the inner sums are multiplicative, so a subtree whose
+# divisors all lie in the range adds its r* at the node times the r* sum of
+# the remaining primes.  Every child is tested before any recursion: one
+# whose largest divisor lies below the range is skipped, one wholly inside
+# is folded, and only a child that straddles a bound is entered, so the
+# walk touches only the boundary region.  _cube_divisors lists every
+# divisor, for callers that need each d.
 
 
-def _cube_tables(factors: Sequence[tuple[int, int]], k: int):
-    fs = sorted(factors, reverse=True)
-    pws: list[list[int]] = []
-    rvs: list[list[int]] = []
-    for p, e in fs:
-        e3 = 3 * e
-        pw = [1] * (e3 + 1)
-        for j in range(1, e3 + 1):
-            pw[j] = pw[j - 1] * p
-        pws.append(pw)
-        rvs.append(rn_star_prime_powers(p, e3, k))
-    r = len(fs)
+def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int) -> int:
+    """Sum of r_{4k}*(d) over divisors d of n**3 with lo <= d <= hi, where
+    ``tab`` holds the tables of n at k."""
+    if hi < lo or hi < 1:
+        return 0
+    r = len(tab)
     full_tail = [1] * (r + 1)
     sum_tail = [1] * (r + 1)
     for i in range(r - 1, -1, -1):
-        full_tail[i] = full_tail[i + 1] * pws[i][-1]
-        sum_tail[i] = sum_tail[i + 1] * sum(rvs[i])
-    return pws, rvs, full_tail, sum_tail
-
-
-def _rstar_sum(factors: Sequence[tuple[int, int]], k: int, lo: int, hi: int) -> int:
-    """Sum of r_{4k}*(d) over divisors d of n**3 with lo <= d <= hi."""
-    if hi < lo or hi < 1:
+        _, _, full, rsum = tab[i]
+        full_tail[i] = full_tail[i + 1] * full
+        sum_tail[i] = sum_tail[i + 1] * rsum
+    if full_tail[0] < lo:
         return 0
-    pws, rvs, full_tail, sum_tail = _cube_tables(factors, k)
+    if lo <= 1 and full_tail[0] <= hi:
+        return sum_tail[0]
 
-    # Every node has d <= hi, so a leaf (full_tail == 1) always meets one
-    # of the first two tests and the loop never indexes past the last prime.
-    def rec(i: int, d: int, r: int) -> int:
-        top = d * full_tail[i]
-        if top < lo:
-            return 0
-        if d >= lo and top <= hi:
-            return r * sum_tail[i]
+    # Called only on a node d <= hi whose subtree [d, d * full_tail[i]]
+    # straddles a bound.  A leaf child has full_tail == 1, so it is always
+    # skipped or folded and the walk never indexes past the last prime.
+    def rec(i: int, d: int) -> int:
+        pws, rvs, _, _ = tab[i]
+        ft = full_tail[i + 1]
+        st = sum_tail[i + 1]
         s = 0
-        for q, rq in zip(pws[i], rvs[i]):
+        for q, rq in zip(pws, rvs):
             dn = d * q
             if dn > hi:
                 break
-            s += rec(i + 1, dn, r * rq)
+            top = dn * ft
+            if top < lo:
+                continue
+            if dn >= lo and top <= hi:
+                s += rq * st
+            else:
+                s += rq * rec(i + 1, dn)
         return s
 
-    return rec(0, 1, 1)
+    return rec(0, 1)
 
 
-def _cube_divisors(factors: Sequence[tuple[int, int]], k: int, hi: int) -> list[tuple[int, int]]:
-    """(d, r_{4k}*(d)) for every divisor d <= hi of n**3, in no fixed order."""
+def _cube_divisors(tab: Sequence[Entry], hi: int) -> list[tuple[int, int]]:
+    """(d, r_{4k}*(d)) for every divisor d <= hi of n**3, in no fixed order,
+    where ``tab`` holds the tables of n at k."""
     if hi < 1:
         return []
-    pws, rvs, _, _ = _cube_tables(factors, k)
     out = [(1, 1)]
-    for pw, rv in zip(pws, rvs):
+    for pw, rv, _, _ in tab:
         nxt = []
         for d, r in out:
             for q, rq in zip(pw, rv):
@@ -217,24 +242,24 @@ def _cube_divisors(factors: Sequence[tuple[int, int]], k: int, hi: int) -> list[
 
 def _block_s(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, y = args
-    return sum(_rstar_sum(f, k, 1, y) for _, f in _factored(lo, hi))
+    return sum(_rstar_sum(t, 1, y) for _, t in _block_tables(lo, hi, k))
 
 
 def _block_t(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, B = args
-    return sum(_rstar_sum(f, k, 1, (n**3 - 1) // B) for n, f in _factored(lo, hi))
+    return sum(_rstar_sum(t, 1, (n**3 - 1) // B) for n, t in _block_tables(lo, hi, k))
 
 
 def _block_affine4(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, B = args
     B2 = B * B
-    return sum(_rstar_sum(f, k, (m**3 + B - 1) // B, B2) for m, f in _factored(lo, hi))
+    return sum(_rstar_sum(t, (m**3 + B - 1) // B, B2) for m, t in _block_tables(lo, hi, k))
 
 
 def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) -> int:
     """Apply a block worker over [1, x] in sieve blocks, summed in order.
 
-    The jobs are the blocks of _factored, whatever ``workers`` is; a pool
+    The jobs are the blocks of _tables, whatever ``workers`` is; a pool
     starts only when there are two jobs or more to share.
     """
     jobs = [(a, min(a + _SIEVE_BLOCK, x + 1)) + extra for a in range(1, x + 1, _SIEVE_BLOCK)]
@@ -299,9 +324,9 @@ def count_affine_exact(B: int, n: int = 4, workers: int | None = None) -> int:
         return 16 * inner
     table = _rn_table(n, B * B)
     total = 0
-    for m, f in _factored(1, B + 1):
+    for m, t in _tables(1, B + 1, 1):
         lo = (m**3 + B - 1) // B
-        total += sum(table[d] for d, _ in _cube_divisors(f, 1, B * B) if d >= lo)
+        total += sum(table[d] for d, _ in _cube_divisors(t, B * B) if d >= lo)
     return 2 * total
 
 
@@ -437,8 +462,8 @@ def mean_value_M(X: Fraction | int, Y: Fraction | int, k: int = 1) -> Fraction:
     Y = Fraction(Y)
     ylim = math.floor(Y)
     s_r = s_nr = s_rd = s_nrd = 0
-    for n, f in _factored(1, math.floor(X) + 1):
-        for d, r in _cube_divisors(f, k, ylim):
+    for n, t in _tables(1, math.floor(X) + 1, k):
+        for d, r in _cube_divisors(t, ylim):
             s_r += r
             s_nr += n * r
             s_rd += r * d
@@ -501,9 +526,9 @@ def identity_scan(Bmax: int) -> tuple[list[int], list[int], list[int]]:
     dT = [0] * (Bmax + 2)
     dA = [0] * (Bmax + 2)
     lim = Bmax * Bmax
-    for m, f in _factored(1, Bmax + 1):
+    for m, t in _tables(1, Bmax + 1, 1):
         cube = m**3
-        for d, r in _cube_divisors(f, 1, lim):
+        for d, r in _cube_divisors(t, lim):
             sq = isqrt(d - 1) + 1  # ceil(sqrt(d))
             b0 = m if m >= sq else sq
             if b0 <= Bmax:

@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 
 import pytest
 
 from manincount import counting
-from manincount.arith import r4_star, factorize, rn_star
+from manincount.arith import r4_star, factorize, rn_star, rn_star_prime_powers
 from manincount.counting import (
     _SIEVE_BLOCK,
     _cube_divisors,
-    _factored,
     _rstar_sum,
+    _tables,
     CountQuery,
     apply_D,
     count_affine_bruteforce,
@@ -52,6 +52,21 @@ def cube_divisors_naive(n, hi=None):
     return [d for d in range(1, top + 1) if cube % d == 0]
 
 
+def cube_divisors_of_divisors(n):
+    """Divisors of n**3 as the products a*b*c of divisors of n, where those
+    come from trial division up to sqrt(n): no factorization, no sieve.
+    Every p**j with j <= 3e splits into three exponents <= e."""
+    small = [a for a in range(1, isqrt(n) + 1) if n % a == 0]
+    divs = set(small) | {n // a for a in small}
+    return {a * b * c for a in divs for b in divs for c in divs}
+
+
+def tables_of(n, k):
+    """The tables of n, from the sieve the counting sums use."""
+    ((_, tab),) = _tables(n, n + 1, k)
+    return tab
+
+
 class TestCubeDivisors:
     def test_against_trial_division(self):
         rng = random.Random(17)
@@ -59,28 +74,27 @@ class TestCubeDivisors:
             n = rng.randint(1, 60)
             k = rng.randint(1, 3)
             hi = rng.choice([None, rng.randint(-5, n**3 + 5)])
-            items = _cube_divisors(factorize(n).factors, k, n**3 if hi is None else hi)
+            items = _cube_divisors(tables_of(n, k), n**3 if hi is None else hi)
             assert sorted(d for d, _ in items) == cube_divisors_naive(n, hi)
             for d, r in items:
                 assert r == rn_star(factorize(d), k)
 
     def test_divisors_of_8(self):
-        assert sorted(d for d, _ in _cube_divisors(factorize(2).factors, 1, 8)) == [1, 2, 4, 8]
+        assert sorted(d for d, _ in _cube_divisors(tables_of(2, 1), 8)) == [1, 2, 4, 8]
 
     def test_divisors_of_216_up_to_10(self):
-        ds = sorted(d for d, _ in _cube_divisors(factorize(6).factors, 1, 10))
+        ds = sorted(d for d, _ in _cube_divisors(tables_of(6, 1), 10))
         assert ds == [1, 2, 3, 4, 6, 8, 9]
 
     def test_unit(self):
-        assert _cube_divisors([], 1, 1000) == [(1, 1)]
+        assert _cube_divisors(tables_of(1, 1), 1000) == [(1, 1)]
 
     def test_count_is_product_of_3e_plus_1(self):
         for m in (2, 12, 30, 360, 1001):
-            f = factorize(m).factors
             expected = 1
-            for _, e in f:
+            for _, e in factorize(m).factors:
                 expected *= 3 * e + 1
-            ds = [d for d, _ in _cube_divisors(f, 1, m**3)]
+            ds = [d for d, _ in _cube_divisors(tables_of(m, 1), m**3)]
             assert len(ds) == expected
             assert len(set(ds)) == expected  # no repeats
 
@@ -89,11 +103,33 @@ class TestCubeDivisors:
         for _ in range(400):
             n = rng.randint(1, 10**4)
             k = rng.randint(1, 3)
-            f = factorize(n).factors
+            tab = tables_of(n, k)
             lo = rng.randint(-3, n**3 + 3)
             hi = rng.choice([rng.randint(-3, n**3 + 3), rng.randint(-3, 3), lo - 1])
-            listed = sum(r for d, r in _cube_divisors(f, k, hi) if d >= lo)
-            assert _rstar_sum(f, k, lo, hi) == listed, (n, k, lo, hi)
+            listed = sum(r for d, r in _cube_divisors(tab, hi) if d >= lo)
+            assert _rstar_sum(tab, lo, hi) == listed, (n, k, lo, hi)
+
+    def test_folded_sum_against_trial_division(self):
+        # the walk against divisors found without factorizing n and values
+        # from factorize(d), so it does not share the tables it reads
+        rng = random.Random(31)
+        ns = [2**14, 3**9, 2**15 + 1, 2**16 - 1, 65521 * 2, 3 * 5 * 7 * 11 * 13 * 3,
+              7 * 10007, 2**3 * 3**2 * 4099]  # 4099 and 10007 exceed the square root
+        ns += [rng.randint(2**15, 2**17) for _ in range(6)]
+        windows = 0
+        for n in ns:
+            divs = sorted(cube_divisors_of_divisors(n))
+            for k in (1, 2, 3):
+                tab = tables_of(n, k)
+                rstar = {d: rn_star(factorize(d), k) for d in divs}
+                cuts = [0, 1, 2, n, n**3 - 1, n**3, n**3 + 1]
+                cuts += [rng.choice(divs) + rng.randint(-1, 1) for _ in range(8)]
+                for lo in cuts:
+                    for hi in cuts:
+                        want = sum(rstar[d] for d in divs if lo <= d <= hi)
+                        assert _rstar_sum(tab, lo, hi) == want, (n, k, lo, hi)
+                        windows += want > 0
+        assert windows > 1000
 
     def test_folded_sum_narrow_windows_near_top(self):
         # count_affine_exact's windows start at ceil(n^3/B), so most of the
@@ -104,11 +140,11 @@ class TestCubeDivisors:
             n = rng.randint(1, 5000)
             k = rng.randint(1, 3)
             B = rng.randint(n, 2 * n + 3)
-            f = factorize(n).factors
+            tab = tables_of(n, k)
             for hi in (B * B, n**3, n**3 - 1):
                 for lo in ((n**3 + B - 1) // B, hi - 1, hi):
-                    listed = sum(r for d, r in _cube_divisors(f, k, hi) if d >= lo)
-                    assert _rstar_sum(f, k, lo, hi) == listed, (n, k, lo, hi)
+                    listed = sum(r for d, r in _cube_divisors(tab, hi) if d >= lo)
+                    assert _rstar_sum(tab, lo, hi) == listed, (n, k, lo, hi)
                     if listed:
                         nonempty += 1
                     else:
@@ -116,11 +152,29 @@ class TestCubeDivisors:
         assert empty > 100 and nonempty > 100
 
 
-class TestFactored:
-    def test_block_seam(self):
-        lo, hi = 2**15 - 20, 2**16 + 20
-        expected = [(m, list(factorize(m).factors)) for m in range(lo, hi)]
-        assert list(_factored(lo, hi)) == expected
+class TestTables:
+    def test_block_seams(self):
+        # the counting sums start their blocks at 1 + j * 2**15, so 2**15 and
+        # 2**16 each end one; sieved from 2**15 - 20, this range's own first
+        # block ends at 2**16 - 21, inside the second window
+        windows = {*range(2**15 - 20, 2**15 + 21), *range(2**16 - 20, 2**16 + 21)}
+        for k in (1, 2, 3):
+            checked = 0
+            for m, tab in _tables(min(windows), max(windows) + 1, k):
+                if m not in windows:
+                    continue
+                want = []
+                for p, e in sorted(factorize(m).factors, reverse=True):
+                    rv = rn_star_prime_powers(p, 3 * e, k)
+                    want.append((tuple(p**j for j in range(3 * e + 1)), tuple(rv),
+                                 p ** (3 * e), sum(rv)))
+                assert tab == want, (m, k)
+                # entries are shared by the m of a block, so none may be mutable
+                for entry in tab:
+                    assert type(entry) is tuple
+                    assert type(entry[0]) is tuple and type(entry[1]) is tuple
+                checked += 1
+            assert checked == len(windows)
 
 
 class TestIntroot:
@@ -202,7 +256,9 @@ class TestRunBlocks:
         x = 2 * 2**15 + 7
         for f in (lambda w: s_sum(x, x * x, workers=w),
                   lambda w: t_sum(x, workers=w),
-                  lambda w: count_affine_exact(x, 4, workers=w)):
+                  lambda w: count_affine_exact(x, 4, workers=w),
+                  lambda w: s_sum(x, x * x, 2, workers=w),
+                  lambda w: t_sum(x, 2, workers=w)):
             ref = f(1)
             assert f(2) == ref
             assert f(3) == ref
