@@ -23,7 +23,7 @@ from .asymptotics import (
     ConstantsBundle,
     EulerProductValue,
     PolynomialP,
-    constant_C4,
+    closed_form_C4,
     constant_Cn,
     constants_bundle,
     euler_product_G,
@@ -32,7 +32,6 @@ from .asymptotics import (
     predict_S,
     predict_T,
     predict_counts,
-    zeta_real,
 )
 from .counting import (
     CountQuery,

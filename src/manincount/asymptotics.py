@@ -9,12 +9,13 @@ each factor is a Python int scaled by 2^W, W the working precision plus
 _FIXED_GUARD_BITS, the primes are multiplied in ascending order with one
 truncation per multiply, and the result becomes an mpf once.  So a given
 (s, w, k, prime_limit, digits) always reproduces the same bits.
-constant_C4, the independent twin of (3/16) G(1, 1), stays on mpf.
+closed_form_C4, the independent twin of (3/16) G(1, 1), is exact.
 
 Normalization note: the leading constant is defined here as
 C_script(4k) = (3 / (16 k (2k-1))) * G(1, 2k-1), with the matching
-direct-product form (27/512) zeta(4) prod_p>2 (...) at k = 1.  The two
-routes agree far below the tail bounds, and the exact counters converge
+expanded form (27/512) zeta(4) prod_p>2 (...) at k = 1, whose odd
+factor is (1 - p^-3)^2, so that C_script(4) = 27 zeta(4) / (392 zeta(3)^2).
+The routes agree within the tail bounds, and the exact counters converge
 to these values (ratio -> 1 with O(1/log B) error); see the acceptance
 suite's trend criterion.
 """
@@ -39,7 +40,7 @@ __all__ = [
     "PolynomialP",
     "cached_bundle",
     "cached_poly",
-    "constant_C4",
+    "closed_form_C4",
     "constant_Cn",
     "constants_bundle",
     "euler_product_G",
@@ -49,16 +50,17 @@ __all__ = [
     "predict_T",
     "predict_counts",
     "zbar",
-    "zeta_real",
 ]
 
 _GUARD_DIGITS = 10
 # one truncation of at most one unit of 2^-W per multiply, a handful of
 # multiplies per prime: 40 bits absorb them for any prime count below 2^30
 _FIXED_GUARD_BITS = 40
-_BLOCK = 2048
 _DEFAULT_PRIME_LIMIT = 100_000
 _DEFAULT_DIGITS = 30
+# constant_Cn's compact and expanded forms must agree to this relative
+# tolerance beyond the zeta(6k-2) tail past the prime limit
+_CONSISTENCY_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -119,18 +121,6 @@ class ConstantsBundle:
     digits: int
     tail_bound: mpf
     notes: tuple[str, ...] = ()
-
-
-def zeta_real(sigma, digits: int = _DEFAULT_DIGITS) -> mpf:
-    """Riemann zeta on the real axis, sigma >= 1.001, to ``digits`` digits.
-
-    Backed by mpmath's Euler-Maclaurin evaluation; the test suite checks it
-    against crude partial sums with an integral tail bound.
-    """
-    if sigma < 1 + 1e-3:
-        raise DomainError(f"zeta_real needs sigma >= 1.001 (pole at 1), got {sigma}")
-    with workdps(digits + _GUARD_DIGITS):
-        return +mp.zeta(mpf(sigma))
 
 
 def zbar(sigma, digits: int = _DEFAULT_DIGITS) -> mpf:
@@ -194,13 +184,6 @@ def _gp_odd(p: mpf, s, w, k: int) -> mpf:
 
 def _g2(s, w, k: int) -> mpf:
     two = mpf(2)
-    if k == 1:
-        num = 1 + 3 * two ** (-s - w) + 3 * two ** (-s - 2 * w) + two ** (-s - 3 * w + 1)
-        den = 1 - two ** (-s - 3 * w)
-        pr = mpf(1)
-        for j in (1, 2, 3):
-            pr *= 1 - two ** (-(s + j * w - j))
-        return num / den * pr
     q = 2 ** (2 * k - 1)
     sign = -1 if k % 2 else 1
     a = 1 - mpf(sign) / (1 - q)
@@ -305,38 +288,22 @@ def euler_product_G(
         return EulerProductValue(+prod, prime_limit, +mp.expm1(tail_log))
 
 
-def constant_C4(prime_limit: int = 10**6, digits: int = _DEFAULT_DIGITS) -> EulerProductValue:
-    """The n = 4 leading constant by its direct product form:
+def closed_form_C4(digits: int = _DEFAULT_DIGITS) -> mpf:
+    """C_script(4) = 27 zeta(4) / (392 zeta(3)^2), the untruncated value.
 
-        (27/512) zeta(4) prod_{p > 2} (1 + 2/p + 3/p^2 + 2/p^3 + 1/p^4)(1 - 1/p)^2.
-
-    Cross-route identity: this equals (3/16) G(1, 1) exactly in the limit,
-    and to within the combined tail bounds at any common truncation.
+    At (s, w) = (1, 1) the odd factor of G is (1 - p^-3)^2 / (1 - p^-4) and
+    _g2 is 3/10, so (3/16) G(1, 1) = (3/16) (3/10) (15/16) (8/7)^2
+    zeta(4) / zeta(3)^2.  Every factor past a prime limit is below 1, so a
+    truncated (3/16) G(1, 1) exceeds this value.
     """
-    if prime_limit < 100:
-        raise ValueError("prime_limit must be >= 100")
-    primes = primes_upto(prime_limit)
     with workdps(digits + _GUARD_DIGITS):
-        prod = mpf(1)
-        for lo in range(0, len(primes), _BLOCK):
-            block = mpf(1)
-            for p in primes[lo : lo + _BLOCK]:
-                if p == 2:
-                    continue
-                u = mpf(1) / p
-                block *= (1 + 2 * u + 3 * u**2 + 2 * u**3 + u**4) * (1 - u) ** 2
-            prod *= block
-        value = mpf(27) / 512 * mp.zeta(4) * prod
-        # per-factor log is 2 log(1 - p^-3), so |log| <= 3 p^-3 termwise
-        tail_log = mpf(3) / (2 * mpf(prime_limit) ** 2 * mp.log(prime_limit))
-        return EulerProductValue(+value, prime_limit, +mp.expm1(tail_log))
+        return +(27 * mp.zeta(4) / (392 * mp.zeta(3) ** 2))
 
 
 def constant_Cn(
     k: int,
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
     digits: int = _DEFAULT_DIGITS,
-    consistency_tol: float = 1e-9,
 ) -> EulerProductValue:
     """The leading constant for n = 4k, evaluated along both of its forms.
 
@@ -347,7 +314,7 @@ def constant_Cn(
     form only its primes <= prime_limit, so at a finite prime limit P they
     differ by the factor prod_{p > P} (1 - p^-(6k-2))^-1, which exceeds 1
     by at most sum_{m > P} m^-(6k-2) <= P^-(6k-3) / (6k-3).  A relative
-    disagreement beyond ``consistency_tol`` plus that bound raises
+    disagreement beyond _CONSISTENCY_TOL plus that bound raises
     InternalConsistencyError.
     """
     if k < 1:
@@ -374,7 +341,7 @@ def constant_Cn(
         expanded = mpf(pref.numerator) / pref.denominator * mp.zeta(6 * k - 2) * prod
 
         rel = abs(compact - expanded) / abs(compact)
-        tol = consistency_tol + mpf(prime_limit) ** (3 - 6 * k) / (6 * k - 3)
+        tol = _CONSISTENCY_TOL + mpf(prime_limit) ** (3 - 6 * k) / (6 * k - 3)
         if rel > tol:
             raise InternalConsistencyError(
                 f"constant_Cn(k={k}): compact and expanded forms differ by {mp.nstr(rel, 6)} "

@@ -131,14 +131,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
         }
         notes = list(bundle.notes)
         if n == 4:
-            # constant_C4 needs prime_limit >= 100 and raises ValueError
-            # (exit 2) below it; the n = 4 bundle above accepts any limit >= 2
-            direct = asymptotics.constant_C4(plim, digits)
-            residual = abs(bundle.C_script - direct.value)
+            residual = abs(bundle.C_script - asymptotics.closed_form_C4(digits))
             doc["cross_route_residual"] = _nstr(residual, 8)
-            notes.append("cross_route_residual = |C_script - C4_direct| at this prime limit, "
-                         "C_script from (3/16) G(1,1) and C4_direct from the direct product "
-                         "(27/512) zeta(4) prod_{p>2} (1+2/p+3/p^2+2/p^3+1/p^4)(1-1/p)^2")
+            notes.append("cross_route_residual = |C_script - 27 zeta(4)/(392 zeta(3)^2)|, "
+                         "the truncation error of C_script = (3/16) G(1,1) at this prime "
+                         "limit; it is positive and at most C_script * tail_bound")
         doc["notes"] = notes
     _write(json.dumps(doc, indent=2, sort_keys=False) + "\n", args.out)
     return EXIT_OK

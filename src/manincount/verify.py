@@ -215,20 +215,19 @@ def suite_constants(budget: str = "quick") -> list[CheckResult]:
     plim_cross = 100_000 if budget == "quick" else 1_000_000
     digits = 30
     with workdps(digits + 10):
-        c4 = asymptotics.constant_C4(plim_cross, digits)
+        closed = asymptotics.closed_form_C4(digits)
         g11 = asymptotics.euler_product_G(1, 1, 1, plim_cross, digits)
-        residual = abs(c4.value - mpf(3) / 16 * g11.value)
-        combined = (abs(c4.value) * c4.tail_bound
-                    + mpf(3) / 16 * abs(g11.value) * g11.tail_bound)
-        rel = residual / abs(c4.value)
-        if not _check(out, "cross-route-C4", residual <= combined and rel < mpf(10) ** -12,
-                      f"residual={mp.nstr(residual, 6)} combined_tails={mp.nstr(combined, 6)} "
-                      f"rel={mp.nstr(rel, 6)}"):
+        c4 = mpf(3) / 16 * g11.value
+        excess = c4 - closed
+        bound = c4 * g11.tail_bound
+        if not _check(out, "cross-route-C4", 0 < excess <= bound,
+                      f"(3/16)G(1,1) - closed form={mp.nstr(excess, 6)} "
+                      f"tail bound={mp.nstr(bound, 6)}"):
             return out
 
         for k in (1, 2, 3):
             try:
-                c = asymptotics.constant_Cn(k, plim, digits, consistency_tol=1e-9)
+                c = asymptotics.constant_Cn(k, plim, digits)
             except asymptotics.InternalConsistencyError as exc:
                 _check(out, f"dual-line-k{k}", False, str(exc))
                 return out

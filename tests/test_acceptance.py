@@ -99,14 +99,15 @@ def test_criterion_03_r_function_oracles(oracle_results):
 
 def test_criterion_04_constant_cross_route():
     with workdps(DIGITS + 10):
-        c4 = asymptotics.constant_C4(10**6, DIGITS)
+        closed = asymptotics.closed_form_C4(DIGITS)
         g = asymptotics.euler_product_G(1, 1, 1, 10**6, DIGITS)
-        residual = abs(c4.value - mpf(3) / 16 * g.value)
-        combined = abs(c4.value) * c4.tail_bound + mpf(3) / 16 * abs(g.value) * g.tail_bound
-        rel = residual / abs(c4.value)
-    report(4, residual <= combined and rel < mpf(10) ** -12,
-           f"|C_4 - (3/16) G(1,1)| = {mp.nstr(residual, 4)} <= combined tails "
-           f"{mp.nstr(combined, 4)}, relative {mp.nstr(rel, 4)} < 1e-12 (prime limit 1e6)")
+        c = mpf(3) / 16 * g.value
+        excess = c - closed
+        bound = c * g.tail_bound
+        rel = excess / closed
+    report(4, 0 < excess <= bound and rel < mpf(10) ** -12,
+           f"0 < (3/16) G(1,1) - 27 zeta(4)/(392 zeta(3)^2) = {mp.nstr(excess, 4)} <= "
+           f"tail {mp.nstr(bound, 4)}, relative {mp.nstr(rel, 4)} < 1e-12 (prime limit 1e6)")
 
 
 def test_criterion_05_leading_coefficient():
@@ -129,7 +130,7 @@ def test_criterion_06_prefactor_and_dual_line():
     dual_ok = True
     try:
         for k in (1, 2, 3):
-            asymptotics.constant_Cn(k, PLIM, DIGITS, consistency_tol=1e-9)
+            asymptotics.constant_Cn(k, PLIM, DIGITS)
     except asymptotics.InternalConsistencyError:
         dual_ok = False
     report(6, ok and dual_ok,

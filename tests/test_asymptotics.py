@@ -8,7 +8,7 @@ from manincount.asymptotics import (
     DomainError,
     _g2,
     _Jet,
-    constant_C4,
+    closed_form_C4,
     constant_Cn,
     constants_bundle,
     euler_product_G,
@@ -18,7 +18,6 @@ from manincount.asymptotics import (
     predict_T,
     predict_counts,
     zbar,
-    zeta_real,
 )
 from manincount.verify import _poly_fd_oracle
 
@@ -93,24 +92,6 @@ def euler_product_mpf(s, w, k: int, digits: int, prime_limit: int) -> mpf:
 
 
 class TestZeta:
-    def test_classical_values(self):
-        with workdps(40):
-            assert abs(zeta_real(2, 30) - mp.pi**2 / 6) < mpf(10) ** -28
-            assert abs(zeta_real(4, 30) - mp.pi**4 / 90) < mpf(10) ** -28
-
-    def test_crude_sum_oracle_zeta3(self):
-        with workdps(40):
-            N = 5000
-            partial = sum(mpf(1) / mpf(n) ** 3 for n in range(1, N + 1))
-            lo = partial + mpf(1) / (2 * (N + 1) ** 2)
-            hi = partial + mpf(1) / (2 * N**2)
-            z3 = zeta_real(3, 30)
-            assert lo <= z3 <= hi
-
-    def test_pole_guard(self):
-        with pytest.raises(DomainError):
-            zeta_real(1.0005)
-
     def test_zbar_taylor_matches_direct(self):
         with workdps(40):
             for eps in ("9e-5", "-9e-5", "5e-5"):
@@ -136,25 +117,16 @@ class TestLocalFactor:
                 assert abs(local_factor(p, 1, 1, 1) - alg) < mpf(10) ** -30, p
 
     def test_general_k_reduces_to_k1_at_2(self):
-        from manincount.asymptotics import _g2
-
+        # oracle: the k = 1 factor written out,
+        # (1 + 3 X1 + 3 X2 + 2 X3) / (1 - X3) * prod_j (1 - 2^-(s + jw - j)), X_j = 2^-(s + jw)
         with workdps(40):
             for (s, w) in ((mpf(1), mpf(1)), (mpf("1.3"), mpf("0.8")), (mpf(2), mpf("1.5"))):
-                direct = _g2(s, w, 1)
-                q = 2
-                a = 1 - mpf(-1) / (1 - q)
-                b = mpf(-1) * (1 - 4) / (1 - q)
+                x1, x2, x3 = (mpf(2) ** -(s + j * w) for j in (1, 2, 3))
                 pr = mpf(1)
                 for j in (1, 2, 3):
                     pr *= 1 - mpf(2) ** (-(s + j * w - j))
-                mid = (
-                    1
-                    + a * (1 + mpf(2) ** (-w + 1) + mpf(2) ** (-2 * w + 2))
-                    / (mpf(2) ** (s + w - 1) - mpf(2) ** (-2 * w + 2))
-                    - b * mpf(2) ** (-s - w) * (1 + mpf(2) ** (-w) + mpf(2) ** (-2 * w))
-                    / (1 - mpf(2) ** (-s - 3 * w))
-                )
-                assert abs(direct - pr * mid) < mpf(10) ** -30
+                want = (1 + 3 * x1 + 3 * x2 + 2 * x3) / (1 - x3) * pr
+                assert abs(_g2(s, w, 1) - want) < mpf(10) ** -30
 
     def test_decay_on_prime_grid(self):
         with workdps(30):
@@ -216,18 +188,19 @@ class TestEulerProduct:
 
 class TestConstants:
     def test_cross_route(self):
+        # every omitted factor (1 - p^-3)^2 / (1 - p^-4) is below 1
         with workdps(40):
-            c4 = constant_C4(100_000, DIGITS)
-            g = euler_product_G(1, 1, 1, 100_000, DIGITS)
-            resid = abs(c4.value - mpf(3) / 16 * g.value)
-            assert resid <= abs(c4.value) * c4.tail_bound + mpf(3) / 16 * abs(g.value) * g.tail_bound
-            assert resid / abs(c4.value) < mpf(10) ** -12
+            closed = closed_form_C4(DIGITS)
+            for P in (50_000, 100_000):
+                g = euler_product_G(1, 1, 1, P, DIGITS)
+                c = mpf(3) / 16 * g.value
+                assert 0 < c - closed <= c * g.tail_bound, P
 
     def test_prime_limit_doubling_within_tail(self):
         with workdps(40):
-            a = constant_C4(50_000, DIGITS)
-            b = constant_C4(100_000, DIGITS)
-            assert abs(a.value - b.value) <= abs(a.value) * a.tail_bound
+            a = euler_product_G(1, 1, 1, 50_000, DIGITS)
+            b = euler_product_G(1, 1, 1, 100_000, DIGITS)
+            assert 0 < a.value - b.value <= a.value * a.tail_bound
 
     def test_dyadic_identity_exact(self):
         # expanded-line prefactor == (3/(16k(2k-1))) * G_2(1,2k-1) * (1 - 2^-(6k-2))
@@ -237,14 +210,14 @@ class TestConstants:
 
     def test_dual_line_agreement(self):
         for k in (1, 2, 3):
-            constant_Cn(k, PLIM, DIGITS, consistency_tol=1e-9)  # raises on failure
+            constant_Cn(k, PLIM, DIGITS)  # raises on failure
 
     @pytest.mark.parametrize("prime_limit", [2, 3])
     def test_tiny_prime_limits_match_mpf_product(self, prime_limit):
         # the expanded form's loop is covered by constant_Cn's own check,
         # which raises if that loop drops or repeats the prime 3
         for k in (1, 2, 3):
-            c = constant_Cn(k, prime_limit, DIGITS, consistency_tol=1e-9)
+            c = constant_Cn(k, prime_limit, DIGITS)
             g = euler_product_mpf(1, 2 * k - 1, k, DIGITS, prime_limit)
             with workdps(50):
                 want = mpf(3) / (16 * k * (2 * k - 1)) * g

@@ -78,9 +78,10 @@ class TestConstants:
         assert "cross_route_residual" in doc
         c_script = float(doc["C_script"])
         assert abs(float(doc["C_star"]) - 16 / 3 * c_script) < 1e-12
-        # C_script ((3/16) G(1,1)) against the direct product constant_C4:
-        # two truncations with different tails, so the residual is nonzero
-        assert 0 < float(doc["cross_route_residual"]) < 1e-12
+        # C_script ((3/16) G(1,1)) against 27 zeta(4)/(392 zeta(3)^2): the
+        # truncation error, positive and within the printed tail bound
+        residual = float(doc["cross_route_residual"])
+        assert 0 < residual <= c_script * float(doc["tail_bound"])
 
     def test_n4_small_prime_limit(self, capsys):
         code, out, _ = run(capsys, "constants", "--n", "4", "--prime-limit", "200")
@@ -88,9 +89,13 @@ class TestConstants:
         assert "cross_route_residual" in json.loads(out)
 
     def test_n4_below_direct_product_limit(self, capsys):
-        code, _, err = run(capsys, "constants", "--n", "4", "--prime-limit", "99")
-        assert code == 2
-        assert "prime_limit must be >= 100" in err
+        # no prime-limit floor below 100: the closed form needs no primes
+        for plim in ("2", "99"):
+            code, out, _ = run(capsys, "constants", "--n", "4", "--prime-limit", plim)
+            assert code == 0, plim
+            doc = json.loads(out)
+            residual = float(doc["cross_route_residual"])
+            assert 0 < residual <= float(doc["C_script"]) * float(doc["tail_bound"]), plim
 
     def test_n8_flags_bernoulli_sign(self, capsys):
         code, out, _ = run(capsys, "constants", "--n", "8", "--prime-limit", "3000")
