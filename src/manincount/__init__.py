@@ -49,7 +49,6 @@ from .counting import (
 from .hessian import (
     CubicPoint,
     HessianMatrix,
-    count_rank_points,
     hessian_at,
     rank_over_rationals,
     rank_profile,

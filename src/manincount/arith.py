@@ -35,6 +35,9 @@ __all__ = [
 # rho stage kicks in.
 _TRIAL_BOUND = 100_000
 
+# Peak bytes (by _table_bytes) that rn_exact_table may hold.
+_TABLE_MEMORY_BUDGET = 1 << 31
+
 # Witnesses proving primality for every n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -299,7 +302,7 @@ def _table_bytes(n: int, limit: int) -> int:
     return 4096 + (limit + 1) * (7 * 8 + 4 * (32 + w // 2) + 10 * w)
 
 
-def rn_exact_table(n: int, limit: int, memory_budget: int = 1 << 31) -> list[int]:
+def rn_exact_table(n: int, limit: int) -> list[int]:
     """Exact r_n(d) for d = 0..limit, n a positive multiple of 4.
 
     Built purely by lattice counting: the one-dimensional theta table
@@ -312,16 +315,17 @@ def rn_exact_table(n: int, limit: int, memory_budget: int = 1 << 31) -> list[int
     (``_convolve_exact``), O(L log L) in the table length L.  All inputs
     are nonnegative counts, so the slot bound min(sum a * max b,
     max a * sum b) exceeds every entry of the product and no slot
-    carries: the table is exact at any limit.  ``memory_budget`` is
-    checked against ``_table_bytes`` before anything is allocated.
+    carries: the table is exact at any limit.  ``_table_bytes`` is
+    checked against ``_TABLE_MEMORY_BUDGET`` before anything is allocated.
     """
     if n < 4 or n % 4 != 0:
         raise ValueError(f"n must be a positive multiple of 4, got {n}")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    if _table_bytes(n, limit) > memory_budget:
+    if _table_bytes(n, limit) > _TABLE_MEMORY_BUDGET:
         raise ResourceBudgetError(
-            f"rn_exact_table(n={n}, limit={limit}) exceeds memory budget {memory_budget} bytes"
+            f"rn_exact_table(n={n}, limit={limit}) exceeds memory budget "
+            f"{_TABLE_MEMORY_BUDGET} bytes"
         )
     theta = [0] * (limit + 1)
     i = 0

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
 
 from mpmath import mp, mpf, workdps, workprec
 
@@ -114,7 +113,6 @@ class ConstantsBundle:
     C_script: mpf
     C_star: mpf
     C_proj: mpf
-    zeta_values: dict[int, mpf]
     bernoulli_used: Fraction
     prefactor: Fraction
     prime_limit: int
@@ -126,21 +124,19 @@ class ConstantsBundle:
 def zbar(sigma, digits: int = _DEFAULT_DIGITS) -> mpf:
     """(sigma - 1) * zeta(sigma), analytic through sigma = 1.
 
-    Inside |sigma - 1| < 1e-4 the value comes from the Stieltjes-constant
-    Taylor series 1 + sum_n (-1)^n g_n (sigma-1)^(n+1) / n!, which keeps the
-    triple-pole cancellation stable when g_k(s) is evaluated at points near
-    s = 1 (the finite-difference route to P(t) in the verify suites).
+    Exactly 1 at sigma = 1.  Elsewhere zeta runs with the working precision
+    raised by the -mag(sigma - 1) bits it loses near its pole, so the
+    triple-pole cancellation in g_k(s) stays stable at points near s = 1
+    (the finite-difference route to P(t) in the verify suites).
     """
     with workdps(digits + _GUARD_DIGITS):
-        x = mpf(sigma) - 1
-        if abs(x) < mpf("1e-4"):
-            total = mpf(1)
-            xp = x
-            for nn in range(0, 12):
-                total += (-1) ** nn * mp.stieltjes(nn) * xp / factorial(nn)
-                xp *= x
-            return +total
-        return +(x * mp.zeta(mpf(sigma)))
+        sigma = mpf(sigma)
+        x = sigma - 1
+        if not x:
+            return mpf(1)
+        with workprec(mp.prec + max(0, -mp.mag(x))):
+            v = x * mp.zeta(sigma)
+        return +v
 
 
 def _check_domain(s, w, k: int, eps: float = 1e-9) -> None:
@@ -375,7 +371,6 @@ def constants_bundle(
     pref = Fraction(2 * n) / (abs(b) * (2 ** (n // 2) - 1)) * Fraction(n * (n - 2), 3 * (3 * n - 4))
     with workdps(digits + _GUARD_DIGITS):
         znm1 = +mp.zeta(n - 1)
-        z6k2 = +mp.zeta(6 * k - 2)
         c_star = +(mpf(pref.numerator) / pref.denominator * c.value)
         c_proj = +(c_star / ((n - 1) ** 2 * znm1))
     return ConstantsBundle(
@@ -383,7 +378,6 @@ def constants_bundle(
         C_script=c.value,
         C_star=c_star,
         C_proj=c_proj,
-        zeta_values={n - 1: znm1, 6 * k - 2: z6k2},
         bernoulli_used=b,
         prefactor=pref,
         prime_limit=prime_limit,
@@ -543,7 +537,6 @@ def predict_S(
     y,
     k: int = 1,
     mode: str = "full",
-    poly: PolynomialP | None = None,
     digits: int = _DEFAULT_DIGITS,
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
 ) -> mpf:
@@ -566,8 +559,7 @@ def predict_S(
         y = mpf(y)
         if x < 10 or y < x or y > x**3:
             raise DomainError(f"need 10 <= x <= y <= x^3, got x={x}, y={y}")
-        if poly is None:
-            poly = cached_poly(k, digits, prime_limit)
+        poly = cached_poly(k, digits, prime_limit)
         psi = mp.log(x) - mp.log(y) / 3
         scale = x * y ** (2 * k - 1)
         if mode == "leading":
@@ -583,7 +575,6 @@ def predict_S(
 def predict_T(
     B,
     k: int = 1,
-    poly: PolynomialP | None = None,
     digits: int = _DEFAULT_DIGITS,
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
 ) -> mpf:
@@ -598,23 +589,18 @@ def predict_T(
         B = mpf(B)
         if B < 10:
             raise DomainError(f"need B >= 10, got {B}")
-        if poly is None:
-            poly = cached_poly(k, digits, prime_limit)
+        poly = cached_poly(k, digits, prime_limit)
         return +(poly.a2 / 9 * B**3 * mp.log(B) ** 2)
 
 
 def predict_counts(
     B,
     n: int = 4,
-    bundle: ConstantsBundle | None = None,
     digits: int = _DEFAULT_DIGITS,
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
 ) -> tuple[mpf, mpf]:
     """(N*_n prediction, N_n prediction) = (C*_n B^(n-1) (log B)^2, C_n B (log B)^2)."""
-    if bundle is None:
-        bundle = cached_bundle(n, digits, prime_limit)
-    elif bundle.n != n:
-        raise ValueError(f"bundle is for n={bundle.n}, not n={n}")
+    bundle = cached_bundle(n, digits, prime_limit)
     with workdps(digits + _GUARD_DIGITS):
         B = mpf(B)
         if B < 10:

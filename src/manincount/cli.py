@@ -35,8 +35,11 @@ class UsageError(Exception):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -169,61 +172,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 SCAN_HEADER = "B,n,exact,predicted,ratio,log_B,scaled_error"
 
 
-@dataclasses.dataclass(frozen=True)
-class CountRecord:
-    """One row of a convergence report; exact stays a decimal string."""
-
-    B: int
-    n: int
-    exact: int
-    predicted: object  # mpf
-    ratio: object
-    log_B: object
-    scaled_error: object
-
-    def csv(self) -> str:
-        return ",".join([
-            str(self.B), str(self.n), str(self.exact), _nstr(self.predicted),
-            _nstr(self.ratio), _nstr(self.log_B), _nstr(self.scaled_error),
-        ])
-
-
-def scan_records(quantity: str, b_list: list[int], n: int,
-                 workers: int | None = None, digits: int = 30,
-                 prime_limit: int = 100_000) -> list[CountRecord]:
-    """Exact value, leading-term prediction and scaled error per B."""
+def scan_rows(quantity: str, b_list: list[int], n: int, workers: int | None = None) -> str:
+    """CSV convergence report, one row per B, header fixed: the exact value,
+    its leading-term prediction and the scaled error."""
     k = n // 4
-    records = []
-    with workdps(digits + 10):
-        poly = asymptotics.cached_poly(k, digits, prime_limit) if quantity in ("S", "T") else None
-        bundle = (asymptotics.cached_bundle(n, digits, prime_limit)
-                  if quantity in ("Nstar", "Nproj") else None)
+    rows = [SCAN_HEADER]
+    with workdps(40):  # the predictors' 30 digits and their 10 guard digits
         for B in b_list:
             if quantity == "S":
                 exact = counting.s_sum(B, B * B, k, workers=workers)
-                predicted = asymptotics.predict_S(B, B * B, k, "leading", poly=poly)
+                predicted = asymptotics.predict_S(B, B * B, k, "leading")
             elif quantity == "T":
                 exact = counting.t_sum(B, k, workers=workers)
-                predicted = asymptotics.predict_T(B, k, poly=poly)
+                predicted = asymptotics.predict_T(B, k)
             elif quantity == "Nstar":
                 exact = counting.count_affine_exact(B, n, workers=workers)
-                predicted = asymptotics.predict_counts(B, n, bundle=bundle)[0]
+                predicted = asymptotics.predict_counts(B, n)[0]
             else:
                 exact = counting.count_projective(B, n, workers=workers)
-                predicted = asymptotics.predict_counts(B, n, bundle=bundle)[1]
+                predicted = asymptotics.predict_counts(B, n)[1]
             ratio = mpf(exact) / predicted
             logb = mp.log(B)
-            records.append(CountRecord(B, n, exact, +predicted, +ratio, +logb,
-                                       +(abs(ratio - 1) * logb)))
-    return records
-
-
-def scan_rows(quantity: str, b_list: list[int], n: int,
-              workers: int | None = None, digits: int = 30,
-              prime_limit: int = 100_000) -> str:
-    """CSV convergence report, one row per B, header fixed."""
-    records = scan_records(quantity, b_list, n, workers, digits, prime_limit)
-    return "\n".join([SCAN_HEADER] + [r.csv() for r in records]) + "\n"
+            rows.append(",".join([str(B), str(n), str(exact), _nstr(predicted), _nstr(ratio),
+                                  _nstr(logb), _nstr(abs(ratio - 1) * logb)]))
+    return "\n".join(rows) + "\n"
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -233,6 +205,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --B-list: {exc}") from None
     if not b_list or any(b < 1 for b in b_list):
         raise UsageError("--B-list needs a nonempty comma list of positive integers")
+    if args.quantity == "T" and args.n != 4:
+        raise UsageError("--quantity T has a prediction only for --n 4")
     text = scan_rows(args.quantity, b_list, args.n, workers=args.workers)
     _write(text, args.out)
     return EXIT_OK

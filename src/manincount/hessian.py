@@ -18,7 +18,6 @@ from dataclasses import dataclass
 __all__ = [
     "CubicPoint",
     "HessianMatrix",
-    "count_rank_points",
     "hessian_at",
     "rank_over_rationals",
     "rank_profile",
@@ -52,10 +51,6 @@ class HessianMatrix:
             for j in range(i):
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError("matrix must be symmetric")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 def hessian_at(p: CubicPoint) -> HessianMatrix:
@@ -133,9 +128,3 @@ def rank_profile(B: int, n: int = 4) -> dict[int, int]:
                 profile[r] = profile.get(r, 0) + cx * cy * cz
     return dict(sorted(profile.items()))
 
-
-def count_rank_points(B: int, n: int = 4, r: int = 0) -> int:
-    """Points in the box [-B, B]^(n+2) whose Hessian rank is exactly r."""
-    if not 0 <= r <= n + 2:
-        raise ValueError(f"rank must lie in 0..{n + 2}")
-    return rank_profile(B, n).get(r, 0)

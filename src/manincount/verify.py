@@ -94,8 +94,9 @@ def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mp
     steps h, h/2, h/4 plus one Richardson level, and error_estimate is the
     gap between the two Richardson values.  The table must contract
     monotonically or NumericalError is raised.  poly_P's jet pass takes the
-    derivatives analytically instead; this route shares neither its odd
-    Euler factor nor its zb expansion.
+    derivatives analytically instead, with each zb from its Stieltjes
+    series; zbar evaluates (s - 1) zeta(s) itself, so this route shares
+    neither poly_P's odd Euler factor nor its zb expansion.
     """
     with workdps(digits + 10):
         h = mpf(1e-3)

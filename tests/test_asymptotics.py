@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp, mpf, workdps
@@ -91,14 +92,24 @@ def euler_product_mpf(s, w, k: int, digits: int, prime_limit: int) -> mpf:
         return prod
 
 
+def zbar_stieltjes(sigma, digits: int) -> mpf:
+    """1 + sum_{n < 12} (-1)^n g_n (sigma-1)^(n+1) / n!, the Stieltjes-constant
+    Taylor series of (sigma - 1) zeta(sigma) at digits + 20."""
+    with workdps(digits + 20):
+        x = mpf(sigma) - 1
+        return 1 + sum((-1) ** n * mp.stieltjes(n) * x ** (n + 1) / factorial(n)
+                       for n in range(12))
+
+
 class TestZeta:
     def test_zbar_taylor_matches_direct(self):
-        with workdps(40):
-            for eps in ("9e-5", "-9e-5", "5e-5"):
-                sigma = 1 + mpf(eps)
-                direct = (sigma - 1) * mp.zeta(sigma)
-                assert abs(zbar(sigma, 30) - direct) < mpf(10) ** -30
-            assert zbar(1, 30) == 1
+        with workdps(DIGITS + 20):
+            for eps in ("1e-30", "1e-12", "5e-5", "9e-5"):
+                for sign in (1, -1):
+                    sigma = 1 + sign * mpf(eps)
+                    err = abs(zbar(sigma, DIGITS) - zbar_stieltjes(sigma, DIGITS))
+                    assert err < mpf(10) ** -DIGITS, (sign, eps)
+            assert zbar(1, DIGITS) == 1
 
 
 class TestLocalFactor:
@@ -165,7 +176,7 @@ class TestEulerProduct:
         with workdps(40):
             assert abs(v1.value - v2.value) / abs(v1.value) <= v1.tail_bound
 
-    def test_worker_split_irrelevant(self):
+    def test_reproducible_bits(self):
         # the product is exact integer fixed point over the primes in
         # ascending order, so every call reproduces the same bits
         a = euler_product_G(1, 1, 1, 30_000, 30)
@@ -319,27 +330,26 @@ class TestPolyP:
 
 class TestPredictors:
     def test_T_over_S_leading_is_quarter(self):
-        poly = poly_P(1, DIGITS, PLIM)
         with workdps(40):
             B = mpf(1000)
-            r = predict_T(B, 1, poly=poly) / predict_S(B, B * B, 1, "leading", poly=poly)
+            r = (predict_T(B, 1, prime_limit=PLIM)
+                 / predict_S(B, B * B, 1, "leading", prime_limit=PLIM))
             assert abs(r - mpf(1) / 4) < mpf(10) ** -30
 
     def test_full_at_psi_zero(self):
         poly = poly_P(1, DIGITS, PLIM)
         with workdps(40):
             x = mpf(50)
-            got = predict_S(x, x**3, 1, "full", poly=poly)
+            got = predict_S(x, x**3, 1, "full", prime_limit=PLIM)
             want = x * x**3 * (4 * poly.a0 + mpf(4) / 3 * poly.a1 - mpf(2) / 3 * poly.a2)
             assert abs(got - want) / abs(want) < mpf(10) ** -30
 
     def test_nstar_consistency_with_S_minus_T(self):
-        poly = poly_P(1, DIGITS, PLIM)
-        bundle = constants_bundle(4, PLIM, DIGITS)
         with workdps(40):
             B = mpf(5000)
-            lhs = 16 * (predict_S(B, B * B, 1, "leading", poly=poly) - predict_T(B, 1, poly=poly))
-            rhs = predict_counts(B, 4, bundle=bundle)[0]
+            lhs = 16 * (predict_S(B, B * B, 1, "leading", prime_limit=PLIM)
+                        - predict_T(B, 1, prime_limit=PLIM))
+            rhs = predict_counts(B, 4, prime_limit=PLIM)[0]
             assert abs(lhs - rhs) / rhs < mpf(10) ** -25
 
     def test_domain_errors(self):
@@ -357,10 +367,10 @@ class TestPredictors:
         # the exact k=2 sums already at modest B, closing as B grows
         from manincount.counting import s_sum
 
-        poly = poly_P(2, DIGITS, PLIM)
         with workdps(40):
-            r400 = s_sum(400, 400**2, 2) / predict_S(400, 400**2, 2, "full", poly=poly)
-            r1600 = s_sum(1600, 1600**2, 2) / predict_S(1600, 1600**2, 2, "full", poly=poly)
+            r400 = s_sum(400, 400**2, 2) / predict_S(400, 400**2, 2, "full", prime_limit=PLIM)
+            r1600 = (s_sum(1600, 1600**2, 2)
+                     / predict_S(1600, 1600**2, 2, "full", prime_limit=PLIM))
             assert abs(r400 - 1) < mpf("0.06")
             assert abs(r1600 - 1) < mpf("0.04")
             assert abs(r1600 - 1) < abs(r400 - 1)

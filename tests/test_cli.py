@@ -55,6 +55,14 @@ class TestCount:
         assert lines[0].split(",")[:2] == ["mode", "B"]
         assert lines[1].split(",")[0] == "T"
 
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.txt"
+        code, _, err = run(capsys, "count", "--mode", "S", "--B", "2", "--y", "8",
+                           "--out", str(path))
+        assert code == 2
+        assert str(path) in err and len(err.strip().splitlines()) == 1
+        assert not path.parent.exists()
+
 
 class TestConstants:
     def test_rejects_non_multiple_of_4(self, capsys):
@@ -140,6 +148,17 @@ class TestScan:
         assert lines[0] == "B,n,exact,predicted,ratio,log_B,scaled_error"
         assert len(lines) == 3
         assert lines[1].startswith("20,4,10455,")
+
+    def test_T_needs_n4(self, capsys, monkeypatch):
+        from manincount import counting
+
+        def never(*args, **kwargs):
+            raise AssertionError("counted before rejecting --quantity T --n 8")
+
+        monkeypatch.setattr(counting, "t_sum", never)
+        code, out, err = run(capsys, "scan", "--quantity", "T", "--B-list", "100", "--n", "8")
+        assert code == 2
+        assert out == "" and "--n 4" in err
 
     def test_empty_b_list(self, capsys):
         code, _, _ = run(capsys, "scan", "--quantity", "S", "--B-list", "")

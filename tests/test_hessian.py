@@ -6,7 +6,6 @@ import pytest
 from manincount.hessian import (
     CubicPoint,
     HessianMatrix,
-    count_rank_points,
     hessian_at,
     rank_over_rationals,
     rank_profile,
@@ -87,10 +86,10 @@ class TestRankCounts:
         for B in (1, 2):
             prof = rank_profile(B, 4)
             assert sum(prof.values()) == (2 * B + 1) ** 6
-            assert sum(count_rank_points(B, 4, r) for r in range(7)) == (2 * B + 1) ** 6
+            assert set(prof) <= set(range(7))
 
     def test_zero_rank_singleton(self):
-        assert count_rank_points(2, 4, 0) == 1
+        assert rank_profile(2, 4)[0] == 1
 
     def test_z_zero_forces_rank_le_3(self):
         B = 2
