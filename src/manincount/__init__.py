@@ -9,13 +9,11 @@ terms in :mod:`manincount.asymptotics`, and the Hessian rank audit in
 """
 
 from .arith import (
-    Factorization,
     ResourceBudgetError,
     bernoulli,
     factorize,
     mobius_sieve,
     r4,
-    r4_star,
     rn_exact_table,
     rn_star,
 )
@@ -34,7 +32,6 @@ from .asymptotics import (
     predict_counts,
 )
 from .counting import (
-    CountQuery,
     GridPoint,
     apply_D,
     count_affine_bruteforce,

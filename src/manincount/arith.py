@@ -1,45 +1,32 @@
 """Exact integer arithmetic kernel.
 
-Factorization, the multiplicative sum-of-squares companions r4*/rn*,
-exact r_n tables built by lattice convolution, Bernoulli numbers and a
-Moebius sieve.  Everything here is exact: values are Python ints or
-Fractions, never floats.
+Factorization by trial division, the multiplicative sum-of-squares
+companions r4*/rn*, exact r_n tables built by lattice convolution,
+Bernoulli numbers and a Moebius sieve.  Everything here is exact: values
+are Python ints or Fractions, never floats.
 """
 
 from __future__ import annotations
 
 import decimal
-import random
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 __all__ = [
-    "Factorization",
     "ResourceBudgetError",
     "bernoulli",
     "factorize",
-    "is_prime",
     "mobius_sieve",
     "primes_upto",
     "r4",
-    "r4_star",
     "rn_exact_table",
     "rn_star",
     "rn_star_prime_powers",
 ]
 
-# Trial division handles cofactors up to this bound squared before the
-# rho stage kicks in.
-_TRIAL_BOUND = 100_000
-
 # Peak bytes (by _table_bytes) that rn_exact_table may hold.
 _TABLE_MEMORY_BUDGET = 1 << 31
-
-# Witnesses proving primality for every n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class ResourceBudgetError(RuntimeError):
@@ -58,144 +45,31 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 3.3e24; extra witnesses beyond."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    bases = _MR_BASES
-    if n >= 3_317_044_064_679_887_385_961_981:
-        rng = random.Random(n)
-        bases = _MR_BASES + tuple(rng.randrange(2, n - 1) for _ in range(20))
-    for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of m >= 1, primes increasing; () for m = 1.
 
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-power decomposition ``value = prod p**e``.
-
-    ``factors`` is a tuple of (prime, exponent) pairs with strictly
-    increasing primes and all exponents >= 1; ``value == 1`` iff the
-    tuple is empty.
+    Plain trial division by 2 and then by every odd p with p*p <= m, so
+    the cost is O(sqrt(m)) divisions when m is prime or the product of
+    two close primes: fine for the oracles and tests, hopeless for a
+    20-digit semiprime.  It shares no sieve, table or prime list with the
+    counting paths, which read r* from their own prime-power tables, so
+    the oracles built on it stay independent of them.
     """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError(f"value must be >= 1, got {self.value}")
-        prod = 1
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            last = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factors multiply to {prod}, not {self.value}")
-
-
-def _rho_brent(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(primes_upto(_TRIAL_BOUND))
-
-
-@lru_cache(maxsize=200_000)
-def _factor_cached(m: int) -> tuple[tuple[int, int], ...]:
+    if m < 1:
+        raise ValueError(f"cannot factorize {m}; need a positive integer")
     out: list[tuple[int, int]] = []
-    for p in _trial_primes():
-        if p * p > m:
-            break
+    p = 2
+    while p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             out.append((p, e))
+        p += 1 if p == 2 else 2
     if m > 1:
-        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-            out.append((m, 1))
-        else:
-            # rho stage, seeded by the cofactor for determinism
-            pending = [m]
-            found: dict[int, int] = {}
-            rng = random.Random(m)
-            while pending:
-                c = pending.pop()
-                if is_prime(c):
-                    found[c] = found.get(c, 0) + 1
-                    continue
-                d = _rho_brent(c, rng)
-                pending.extend([d, c // d])
-            for p in sorted(found):
-                out.append((p, found[p]))
-    return tuple(sorted(out))
-
-
-def factorize(m: int) -> Factorization:
-    """Exact factorization of m >= 1.
-
-    Trial division by sieved primes, then deterministic-seeded Brent rho
-    for any remaining large cofactor.  Results are memoized; the cache is
-    per-process and never changes the returned value.
-    """
-    if m < 1:
-        raise ValueError(f"cannot factorize {m}; need a positive integer")
-    return Factorization(m, _factor_cached(m))
+        out.append((m, 1))
+    return tuple(out)
 
 
 def rn_star_prime_powers(p: int, emax: int, k: int = 1) -> list[int]:
@@ -227,28 +101,23 @@ def rn_star_prime_powers(p: int, emax: int, k: int = 1) -> list[int]:
     return vals
 
 
-def rn_star(f: Factorization, k: int = 1) -> int:
-    """Multiplicative r_{4k}*(value); rn_star(f, 1) == r4_star(f)."""
+def rn_star(d: int, k: int = 1) -> int:
+    """Multiplicative r_{4k}*(d) for d >= 1, from factorize(d).
+
+    At k = 1 this is the sum of the divisors of d not divisible by 4:
+    (p^(e+1)-1)/(p-1) for odd p, a factor 3 for any positive power of 2.
+    """
     out = 1
-    for p, e in f.factors:
+    for p, e in factorize(d):
         out *= rn_star_prime_powers(p, e, k)[e]
     return out
 
 
-def r4_star(f: Factorization) -> int:
-    """Sum of the divisors of value not divisible by 4.
-
-    Computed multiplicatively: (p^(e+1)-1)/(p-1) for odd p, a factor 3
-    for any positive power of 2.
-    """
-    return rn_star(f, 1)
-
-
 def r4(d: int) -> int:
-    """Number of (y1..y4) in Z^4 with y1^2+...+y4^2 = d, via 8*r4_star."""
+    """Number of (y1..y4) in Z^4 with y1^2+...+y4^2 = d, via 8*rn_star(d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return 8 * r4_star(factorize(d))
+    return 8 * rn_star(d)
 
 
 def _convolve_exact(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:

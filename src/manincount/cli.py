@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from mpmath import mp, mpf, workdps
@@ -42,6 +43,12 @@ def _write(text: str, out: str | None) -> None:
             raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_out_dir(out: str | None) -> None:
+    """Reject --out before any work when its directory does not exist."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"cannot write --out {out}: no such directory")
 
 
 def _nstr(x, digits: int = _FLOAT_DIGITS) -> str:
@@ -274,6 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_out_dir(getattr(args, "out", None))
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ from .arith import (
 )
 
 __all__ = [
-    "CountQuery",
     "GridPoint",
     "apply_D",
     "count_affine_bruteforce",
@@ -49,21 +48,12 @@ __all__ = [
 WORKERS_ENV = "MANIN_WORKERS"
 
 
-@dataclass(frozen=True)
-class CountQuery:
-    """A point-count request: height bound B, dimension n, affine or projective."""
-
-    B: int
-    n: int = 4
-    mode: str = "affine"
-
-    def __post_init__(self) -> None:
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B}")
-        if self.n < 4 or self.n % 4 != 0:
-            raise ValueError(f"n must be a positive multiple of 4, got {self.n}")
-        if self.mode not in ("affine", "projective"):
-            raise ValueError(f"mode must be 'affine' or 'projective', got {self.mode!r}")
+def _check_query(B: int, n: int) -> None:
+    """Reject a point count with B < 1 or n not a positive multiple of 4."""
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+    if n < 4 or n % 4 != 0:
+        raise ValueError(f"n must be a positive multiple of 4, got {n}")
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -318,8 +308,8 @@ def count_affine_exact(B: int, n: int = 4, workers: int | None = None) -> int:
     exact lattice table.  The divisor range applies both bounds directly,
     which keeps this structurally separate from s_sum - t_sum.
     """
-    q = CountQuery(B, n, "affine")
-    if q.n == 4:
+    _check_query(B, n)
+    if n == 4:
         inner = _run_blocks(_block_affine4, B, (1, B), resolve_workers(workers))
         return 16 * inner
     table = _rn_table(n, B * B)
@@ -338,7 +328,7 @@ def count_affine_bruteforce(B: int, n: int = 4) -> int:
     contributes r_n(x**3 / z) taken from the lattice-convolution table
     (never from the 8 r_4* identity), and the x < 0 half doubles the count.
     """
-    CountQuery(B, n, "affine")
+    _check_query(B, n)
     table = _rn_table(n, B * B)
     B2 = B * B
     total = 0
@@ -367,7 +357,7 @@ def count_projective(B: int, n: int = 4, workers: int | None = None) -> int:
     exceed count_projective_bruteforce: at B = 1331 (R = 11), n = 4 it is
     12 912 against 12 272.
     """
-    CountQuery(B, n, "projective")
+    _check_query(B, n)
     R = introot(B, n - 1)
     if R < 1:
         return 0
@@ -412,7 +402,7 @@ def count_projective_bruteforce(B: int, n: int = 4) -> int:
     counted by sieving the common divisor e | gcd(x, z):
     sum_{e | gcd(x,z), e^2 | Q} mu(e) r_n(Q / e^2).
     """
-    CountQuery(B, n, "projective")
+    _check_query(B, n)
     R = introot(B, n - 1)
     if R < 1:
         return 0

@@ -202,7 +202,7 @@ def suite_oracles(budget: str = "quick", workers: int | None = None) -> list[Che
                 return out
         _check(out, f"rn-table-oracle-n{n}", True, f"all d <= {d_rn}")
 
-    r8_2 = arith.rn_star(arith.factorize(2), 2)
+    r8_2 = arith.rn_star(2, 2)
     _check(out, "r8-prime-power", r8_2 == 7 and arith.rn_exact_table(8, 2)[2] == 16 * 7,
            f"rn_star(2, k=2)={r8_2}")
     return out

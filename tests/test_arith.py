@@ -12,7 +12,6 @@ import pytest
 import manincount
 from manincount import verify
 from manincount.arith import (
-    Factorization,
     ResourceBudgetError,
     _convolve_exact,
     _table_bytes,
@@ -20,7 +19,6 @@ from manincount.arith import (
     factorize,
     mobius_sieve,
     r4,
-    r4_star,
     rn_exact_table,
     rn_star,
 )
@@ -59,9 +57,9 @@ def convolve_naive(a, b, length):
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(1).factors == ()
-        assert factorize(12).factors == ((2, 2), (3, 1))
-        assert factorize(999999937).factors == trial_division(999999937)
+        assert factorize(1) == ()
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(999999937) == trial_division(999999937)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -71,30 +69,26 @@ class TestFactorize:
         rng = random.Random(42)
         for _ in range(300):
             m = rng.randint(1, 10**7)
-            assert factorize(m).factors == trial_division(m)
+            assert factorize(m) == trial_division(m)
 
-    def test_large_semiprime_second_stage(self):
-        p, q = 1_000_000_007, 1_000_000_009
-        assert factorize(p * q).factors == ((p, 1), (q, 1))
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Factorization(6, ((3, 1), (2, 1)))  # not increasing
-        with pytest.raises(ValueError):
-            Factorization(6, ((2, 1),))  # wrong product
-        with pytest.raises(ValueError):
-            Factorization(8, ((4, 1), (2, 1)))  # 4 is not prime
+    def test_trial_division_boundaries(self):
+        # m = p*p sits on the loop bound p*p <= m; 65521 is the largest
+        # prime below 2**16
+        for p in (2, 3, 65521):
+            assert factorize(p * p) == ((p, 2),)
+        assert factorize(2**40) == ((2, 40),)
+        assert factorize(3**20 * 65521) == ((3, 20), (65521, 1))
 
 
 class TestR4Star:
     def test_examples(self):
-        assert r4_star(factorize(1)) == 1
-        assert r4_star(factorize(2)) == 3
-        assert r4_star(factorize(12)) == 12
+        assert rn_star(1) == 1
+        assert rn_star(2) == 3
+        assert rn_star(12) == 12
 
     def test_against_divisor_sum_definition(self):
         for d in range(1, 800):
-            assert r4_star(factorize(d)) == r4_star_by_definition(d)
+            assert rn_star(d) == r4_star_by_definition(d)
 
     def test_multiplicative(self):
         rng = random.Random(7)
@@ -107,32 +101,30 @@ class TestR4Star:
 
             if gcd(a, b) != 1:
                 continue
-            fa, fb, fab = factorize(a), factorize(b), factorize(a * b)
-            assert r4_star(fab) == r4_star(fa) * r4_star(fb)
-            assert rn_star(fab, 3) == rn_star(fa, 3) * rn_star(fb, 3)
+            assert rn_star(a * b) == rn_star(a) * rn_star(b)
+            assert rn_star(a * b, 3) == rn_star(a, 3) * rn_star(b, 3)
 
     def test_bounded_by_d_tau(self):
         for d in range(1, 10**4 + 1):
             tau = 1
             for _, e in trial_division(d):
                 tau *= e + 1
-            assert r4_star(factorize(d)) <= d * tau
+            assert rn_star(d) <= d * tau
 
 
 class TestRnStar:
     def test_examples(self):
-        assert rn_star(factorize(3), 2) == 28  # 1 + 3^3
-        assert rn_star(factorize(2), 2) == 7
-        assert rn_star(factorize(1), 5) == 1
+        assert rn_star(3, 2) == 28  # 1 + 3^3
+        assert rn_star(2, 2) == 7
+        assert rn_star(1, 5) == 1
 
-    def test_k1_reduces_to_r4_star(self):
-        for d in range(1, 10**4 + 1, 7):
-            f = factorize(d)
-            assert rn_star(f, 1) == r4_star(f)
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            rn_star(0)
 
     def test_power_of_two_k1_always_3(self):
         for mu in range(1, 12):
-            assert rn_star(factorize(2**mu), 1) == 3
+            assert rn_star(2**mu, 1) == 3
 
 
 class TestR4AndTables:
@@ -256,7 +248,7 @@ class TestMobius:
         mu = mobius_sieve(5000)
         for d in range(1, 5001):
             f = factorize(d)
-            if any(e > 1 for _, e in f.factors):
+            if any(e > 1 for _, e in f):
                 assert mu[d] == 0
             else:
-                assert mu[d] == (-1) ** len(f.factors)
+                assert mu[d] == (-1) ** len(f)

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 import pytest
 from mpmath import mp, mpf, workdps
 
-from manincount.arith import primes_upto
+from manincount.arith import primes_upto, rn_star_prime_powers
 from manincount.asymptotics import (
     DomainError,
     _g2,
@@ -138,6 +139,27 @@ class TestLocalFactor:
                     pr *= 1 - mpf(2) ** (-(s + j * w - j))
                 want = (1 + 3 * x1 + 3 * x2 + 2 * x3) / (1 - x3) * pr
                 assert abs(_g2(s, w, 1) - want) < mpf(10) ** -30
+
+    def test_matches_summed_definition(self):
+        # G_p(s, w) = F_p(s, w) prod_{j=0..3} (1 - p^-(s + jw - j(2k-1))) with
+        # F_p = sum_a sum_{b <= 3a} r*_{4k}(p^b) p^(-as-bw), the local factor
+        # of sum_n sum_{d | n^3} r*_{4k}(d) n^-s d^-w, cut at a <= A; the
+        # terms past A = 120 are below 1e-33 relative on this grid
+        A = 120
+        with workdps(40):
+            for k in (1, 2):
+                grid = ((1, 2 * k - 1), (mpf("1.3"), 2 * k - mpf("0.8")), (2, 2 * k))
+                for p in (2, 3, 5, 7):
+                    rstar = rn_star_prime_powers(p, 3 * A, k)
+                    for s, w in grid:
+                        s, w = mpf(s), mpf(w)
+                        inner = list(accumulate(r * mpf(p) ** (-b * w) for b, r in enumerate(rstar)))
+                        F = sum(mpf(p) ** (-a * s) * inner[3 * a] for a in range(A + 1))
+                        want = F
+                        for j in range(4):
+                            want *= 1 - mpf(p) ** -(s + j * w - j * (2 * k - 1))
+                        err = abs(local_factor(p, s, w, k) - want) / want
+                        assert err <= mpf("1e-25"), (p, k, s, w, err)
 
     def test_decay_on_prime_grid(self):
         with workdps(30):

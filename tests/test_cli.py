@@ -55,12 +55,22 @@ class TestCount:
         assert lines[0].split(",")[:2] == ["mode", "B"]
         assert lines[1].split(",")[0] == "T"
 
-    def test_out_in_missing_directory(self, capsys, tmp_path):
+    def test_out_in_missing_directory(self, capsys, monkeypatch, tmp_path):
+        from manincount import counting
+
+        calls = []
+
+        def never(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("counted before checking --out")
+
+        monkeypatch.setattr(counting, "s_sum", never)
         path = tmp_path / "missing" / "x.txt"
-        code, _, err = run(capsys, "count", "--mode", "S", "--B", "2", "--y", "8",
-                           "--out", str(path))
-        assert code == 2
+        code, out, err = run(capsys, "count", "--mode", "S", "--B", "2", "--y", "8",
+                             "--out", str(path))
+        assert code == 2 and out == ""
         assert str(path) in err and len(err.strip().splitlines()) == 1
+        assert calls == []
         assert not path.parent.exists()
 
 

@@ -5,13 +5,12 @@ from math import floor, isqrt
 import pytest
 
 from manincount import counting
-from manincount.arith import r4_star, factorize, rn_star, rn_star_prime_powers
+from manincount.arith import factorize, rn_star, rn_star_prime_powers
 from manincount.counting import (
     _SIEVE_BLOCK,
     _cube_divisors,
     _rstar_sum,
     _tables,
-    CountQuery,
     apply_D,
     count_affine_bruteforce,
     count_affine_exact,
@@ -31,7 +30,7 @@ def s_sum_naive(x, y):
         cube = n**3
         for d in range(1, min(cube, y) + 1):
             if cube % d == 0:
-                total += r4_star(factorize(d))
+                total += rn_star(d)
     return total
 
 
@@ -41,7 +40,7 @@ def t_sum_naive(B):
         cube = n**3
         for d in range(1, cube + 1):
             if cube % d == 0 and d * B < cube:
-                total += r4_star(factorize(d))
+                total += rn_star(d)
     return total
 
 
@@ -77,7 +76,7 @@ class TestCubeDivisors:
             items = _cube_divisors(tables_of(n, k), n**3 if hi is None else hi)
             assert sorted(d for d, _ in items) == cube_divisors_naive(n, hi)
             for d, r in items:
-                assert r == rn_star(factorize(d), k)
+                assert r == rn_star(d, k)
 
     def test_divisors_of_8(self):
         assert sorted(d for d, _ in _cube_divisors(tables_of(2, 1), 8)) == [1, 2, 4, 8]
@@ -92,7 +91,7 @@ class TestCubeDivisors:
     def test_count_is_product_of_3e_plus_1(self):
         for m in (2, 12, 30, 360, 1001):
             expected = 1
-            for _, e in factorize(m).factors:
+            for _, e in factorize(m):
                 expected *= 3 * e + 1
             ds = [d for d, _ in _cube_divisors(tables_of(m, 1), m**3)]
             assert len(ds) == expected
@@ -111,7 +110,8 @@ class TestCubeDivisors:
 
     def test_folded_sum_against_trial_division(self):
         # the walk against divisors found without factorizing n and values
-        # from factorize(d), so it does not share the tables it reads
+        # from rn_star(d), which factors d by trial division, so it does not
+        # share the tables it reads
         rng = random.Random(31)
         ns = [2**14, 3**9, 2**15 + 1, 2**16 - 1, 65521 * 2, 3 * 5 * 7 * 11 * 13 * 3,
               7 * 10007, 2**3 * 3**2 * 4099]  # 4099 and 10007 exceed the square root
@@ -121,7 +121,7 @@ class TestCubeDivisors:
             divs = sorted(cube_divisors_of_divisors(n))
             for k in (1, 2, 3):
                 tab = tables_of(n, k)
-                rstar = {d: rn_star(factorize(d), k) for d in divs}
+                rstar = {d: rn_star(d, k) for d in divs}
                 cuts = [0, 1, 2, n, n**3 - 1, n**3, n**3 + 1]
                 cuts += [rng.choice(divs) + rng.randint(-1, 1) for _ in range(8)]
                 for lo in cuts:
@@ -164,7 +164,7 @@ class TestTables:
                 if m not in windows:
                     continue
                 want = []
-                for p, e in sorted(factorize(m).factors, reverse=True):
+                for p, e in sorted(factorize(m), reverse=True):
                     rv = rn_star_prime_powers(p, 3 * e, k)
                     want.append((tuple(p**j for j in range(3 * e + 1)), tuple(rv),
                                  p ** (3 * e), sum(rv)))
@@ -307,12 +307,10 @@ class TestAffine:
         assert exact == 32 * (s_sum(B, B * B, 2) - t_sum(B, 2))
 
     def test_query_validation(self):
-        with pytest.raises(ValueError):
-            CountQuery(0, 4, "affine")
-        with pytest.raises(ValueError):
-            CountQuery(5, 6, "affine")
-        with pytest.raises(ValueError):
-            CountQuery(5, 4, "elliptic")
+        with pytest.raises(ValueError, match="B must be >= 1"):
+            count_affine_exact(0, 4)
+        with pytest.raises(ValueError, match="positive multiple of 4"):
+            count_projective(5, 6)
 
 
 class TestProjective:
@@ -360,7 +358,7 @@ class TestMeanValue:
                     cube = n**3
                     for d in range(1, floor(Y) + 1):
                         if cube % d == 0:
-                            total += rn_star(factorize(d), k) * (X - n) * (Y - d)
+                            total += rn_star(d, k) * (X - n) * (Y - d)
                 assert mean_value_M(X, Y, k) == total
 
     def test_zero_below_one(self):
