@@ -6,19 +6,25 @@ All counters are exact; divisor-range conditions are integer
 cross-multiplications (d*B >= m**3 and the like), never floats.  The
 fast paths read every n through its prime-power tables, which one
 segmented sieve builds block by block, and walk the divisors of n**3 on
-them.  The heavy sums cut the outer range into fixed blocks of
-_SIEVE_BLOCK values, whatever the worker count, and start a process pool
-only when there are two blocks or more; exact integer addition makes the
-result independent of the worker count.
+them.  The folded walk answers every subtree whose rest (the part of n
+below a node) is at most _LEAF_MAX from a leaf of sorted divisors and
+prefix sums, kept in a memo that lives for one block worker's call, so
+memory stays bounded.  The heavy sums cut the outer range into fixed
+blocks of _SIEVE_BLOCK values, whatever the worker count, and start a
+process pool only when there are two blocks or more; exact integer
+addition makes the result independent of the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
@@ -103,6 +109,14 @@ _SIEVE_BLOCK = 1 << 15
 # Immutable, because the m of a sieve block share them.
 Entry = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
+# Largest rest that _rstar_sum answers from a leaf instead of walking (see
+# the walks below).  Every divisor in a leaf is at most _LEAF_CUBE, so a
+# leaf stores them as array('q'), and its prefix sums of r* too while they
+# fit in 64 bits (at k = 1; from k = 2 on they stay a list).
+_LEAF_MAX = 256
+_LEAF_CUBE = _LEAF_MAX**3
+Leaf = tuple[array, Sequence[int]]
+
 
 def _entry(p: int, e: int, k: int) -> Entry:
     e3 = 3 * e
@@ -120,15 +134,19 @@ def _block_tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]
 
     After dividing out every prime <= sqrt(hi-1) the residual cofactor is
     1 or prime, so no per-element primality work is needed.  The m of the
-    block share one entry per (p, e) of the sieved primes; the cofactor's
-    entry is built as its m is yielded, and each m's list is dropped from
-    the block once yielded, so the walk releases it when done.
+    block share one entry per (p, e) of the sieved primes, and one per
+    cofactor prime below the block length, so the shared dict holds at
+    most one entry per prime below it and per sieved (p, e); a larger
+    cofactor occurs at most once in the block and its entry is built as
+    its m is yielded.  Each m's list is dropped from the block once
+    yielded, so the walk releases it when done.
     """
-    rem = list(range(lo, hi))
-    tabs: list[list[Entry] | None] = [[] for _ in range(hi - lo)]
+    n = hi - lo
+    rem = array("q", range(lo, hi))  # 8 bytes a value, not a list of ints
+    tabs: list[list[Entry] | None] = [[] for _ in range(n)]
     shared: dict[tuple[int, int], Entry] = {}
     for p in primes_upto(isqrt(hi - 1)):
-        for i in range(-lo % p, hi - lo, p):
+        for i in range(-lo % p, n, p):
             e = 0
             v = rem[i]
             while v % p == 0:
@@ -143,7 +161,13 @@ def _block_tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]
         t = tabs[i]
         tabs[i] = None
         if q > 1:
-            t.append(_entry(q, 1, k))
+            if q < n:  # q recurs in the block: share its entry
+                ent = shared.get((q, 1))
+                if ent is None:
+                    ent = shared[q, 1] = _entry(q, 1, k)
+            else:
+                ent = _entry(q, 1, k)
+            t.append(ent)
         t.reverse()  # largest prime first
         yield lo + i, t
 
@@ -163,16 +187,38 @@ def _tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]:
 # the remaining primes.  Every child is tested before any recursion: one
 # whose largest divisor lies below the range is skipped, one wholly inside
 # is folded, and only a child that straddles a bound is entered, so the
-# walk touches only the boundary region.  _cube_divisors lists every
-# divisor, for callers that need each d.
+# walk touches only the boundary region.
+#
+# Below a node the divisors are d times (a power of the node's prime) times
+# (a divisor of s**3), where s, the rest, is the product of the smaller
+# prime powers of n.  When s <= _LEAF_MAX the walk does not descend: a
+# leaf, the sorted divisors of s**3 with the prefix sums of their r*,
+# answers each straddling child dq with two bisections,
+# pre[bisect_right(ds, hi // dq)] - pre[bisect_left(ds, ceil(lo / dq))].
+# Leaves live in a memo that a block worker passes to every n of its
+# block; it is keyed by s**3 (so by s; k is fixed per call) and holds at
+# most one leaf per s <= _LEAF_MAX.  A rest's first sight only marks it
+# and is walked; its leaf is built when the rest recurs, so a call whose
+# rests never recur builds none.  _cube_divisors lists every divisor, for
+# callers that need each d.
 
 
-def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int) -> int:
+def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
     """Sum of r_{4k}*(d) over divisors d of n**3 with lo <= d <= hi, where
-    ``tab`` holds the tables of n at k."""
+    ``tab`` holds the tables of n at k and ``memo`` the leaves at that k."""
     if hi < lo or hi < 1:
         return 0
     r = len(tab)
+    if r == 0:
+        return 1 if lo <= 1 else 0
+    rest = 1
+    for j in range(1, r):
+        rest *= tab[j][2]
+    if rest <= _LEAF_CUBE:
+        leaf = memo.get(rest) or _sight(memo, rest, tab, 1)
+        if leaf:
+            return _leaf_node(tab[0], 1, lo, hi, leaf)
+    # the walk descends past the root: tail products of the tables
     full_tail = [1] * (r + 1)
     sum_tail = [1] * (r + 1)
     for i in range(r - 1, -1, -1):
@@ -187,9 +233,15 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int) -> int:
     # Called only on a node d <= hi whose subtree [d, d * full_tail[i]]
     # straddles a bound.  A leaf child has full_tail == 1, so it is always
     # skipped or folded and the walk never indexes past the last prime.
+    # The root has already sighted its rest, so only deeper nodes look
+    # theirs up.
     def rec(i: int, d: int) -> int:
-        pws, rvs, _, _ = tab[i]
         ft = full_tail[i + 1]
+        if i and 1 < ft <= _LEAF_CUBE:
+            leaf = memo.get(ft) or _sight(memo, ft, tab, i + 1)
+            if leaf:
+                return _leaf_node(tab[i], d, lo, hi, leaf)
+        pws, rvs, _, _ = tab[i]
         st = sum_tail[i + 1]
         s = 0
         for q, rq in zip(pws, rvs):
@@ -206,6 +258,42 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int) -> int:
         return s
 
     return rec(0, 1)
+
+
+def _sight(memo: dict, cube: int, tab: Sequence[Entry], i: int) -> Leaf | None:
+    """Record one more sight of the rest held by tab[i:], whose cube is
+    ``cube`` and which has no leaf yet: the first sight only marks it
+    (None), the second builds and returns its leaf."""
+    if cube not in memo:
+        memo[cube] = None
+        return None
+    pairs = sorted(_cube_divisors(tab[i:], cube))
+    ds = array("q", [d for d, _ in pairs])
+    pre = list(accumulate((r for _, r in pairs), initial=0))
+    try:
+        leaf = memo[cube] = (ds, array("q", pre))
+    except OverflowError:  # r* outgrows 64 bits from k = 2 on
+        leaf = memo[cube] = (ds, pre)
+    return leaf
+
+
+def _leaf_node(head: Entry, d: int, lo: int, hi: int, leaf: Leaf) -> int:
+    """The walk's sum below node d, whose children are d times the powers
+    in ``head`` and whose rest below them ``leaf`` answers."""
+    ds, pre = leaf
+    ft = ds[-1]
+    st = pre[-1]
+    s = 0
+    for q, rq in zip(head[0], head[1]):
+        dn = d * q
+        if dn > hi:
+            break
+        top = dn * ft
+        if top < lo:
+            continue
+        up = st if top <= hi else pre[bisect_right(ds, hi // dn)]
+        s += rq * (up - pre[bisect_left(ds, -(-lo // dn))] if dn < lo else up)
+    return s
 
 
 def _cube_divisors(tab: Sequence[Entry], hi: int) -> list[tuple[int, int]]:
@@ -232,18 +320,21 @@ def _cube_divisors(tab: Sequence[Entry], hi: int) -> list[tuple[int, int]]:
 
 def _block_s(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, y = args
-    return sum(_rstar_sum(t, 1, y) for _, t in _block_tables(lo, hi, k))
+    memo: dict = {}
+    return sum(_rstar_sum(t, 1, y, memo) for _, t in _block_tables(lo, hi, k))
 
 
 def _block_t(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, B = args
-    return sum(_rstar_sum(t, 1, (n**3 - 1) // B) for n, t in _block_tables(lo, hi, k))
+    memo: dict = {}
+    return sum(_rstar_sum(t, 1, (n**3 - 1) // B, memo) for n, t in _block_tables(lo, hi, k))
 
 
 def _block_affine4(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, B = args
     B2 = B * B
-    return sum(_rstar_sum(t, (m**3 + B - 1) // B, B2) for m, t in _block_tables(lo, hi, k))
+    memo: dict = {}
+    return sum(_rstar_sum(t, (m**3 + B - 1) // B, B2, memo) for m, t in _block_tables(lo, hi, k))
 
 
 def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) -> int:

@@ -7,7 +7,9 @@ import pytest
 from manincount import counting
 from manincount.arith import factorize, rn_star, rn_star_prime_powers
 from manincount.counting import (
+    _LEAF_MAX,
     _SIEVE_BLOCK,
+    _block_tables,
     _cube_divisors,
     _rstar_sum,
     _tables,
@@ -66,6 +68,20 @@ def tables_of(n, k):
     return tab
 
 
+def rest_of(n):
+    """n >= 2 without the power of its largest prime, by trial division."""
+    p, e = factorize(n)[-1]
+    return n // p**e
+
+
+def next_prime(m):
+    """The least prime > m, by trial division."""
+    m += 1
+    while factorize(m) != ((m, 1),):
+        m += 1
+    return m
+
+
 class TestCubeDivisors:
     def test_against_trial_division(self):
         rng = random.Random(17)
@@ -106,30 +122,94 @@ class TestCubeDivisors:
             lo = rng.randint(-3, n**3 + 3)
             hi = rng.choice([rng.randint(-3, n**3 + 3), rng.randint(-3, 3), lo - 1])
             listed = sum(r for d, r in _cube_divisors(tab, hi) if d >= lo)
-            assert _rstar_sum(tab, lo, hi) == listed, (n, k, lo, hi)
+            assert _rstar_sum(tab, lo, hi, {}) == listed, (n, k, lo, hi)
 
     def test_folded_sum_against_trial_division(self):
         # the walk against divisors found without factorizing n and values
         # from rn_star(d), which factors d by trial division, so it does not
-        # share the tables it reads
+        # share the tables it reads.  One memo serves every window of an
+        # (n, k), so from the third window on an n whose rest is at most
+        # _LEAF_MAX is answered by a leaf at the root, and any other n
+        # descends past it; both kinds must occur at every k.
         rng = random.Random(31)
         ns = [2**14, 3**9, 2**15 + 1, 2**16 - 1, 65521 * 2, 3 * 5 * 7 * 11 * 13 * 3,
-              7 * 10007, 2**3 * 3**2 * 4099]  # 4099 and 10007 exceed the square root
+              7 * 10007, 2**3 * 3**2 * 4099,  # 4099 and 10007 exceed the square root
+              2**10 * 3 * 5, 2 * 3 * 5 * 7 * 11 * 13]  # rests 3072 and 15015 exceed _LEAF_MAX
         ns += [rng.randint(2**15, 2**17) for _ in range(6)]
         windows = 0
-        for n in ns:
-            divs = sorted(cube_divisors_of_divisors(n))
-            for k in (1, 2, 3):
+        for k in (1, 2, 3):
+            branches = {"leaf": 0, "descent": 0}
+            for n in ns:
+                divs = sorted(cube_divisors_of_divisors(n))
                 tab = tables_of(n, k)
                 rstar = {d: rn_star(d, k) for d in divs}
                 cuts = [0, 1, 2, n, n**3 - 1, n**3, n**3 + 1]
                 cuts += [rng.choice(divs) + rng.randint(-1, 1) for _ in range(8)]
+                memo = {}
                 for lo in cuts:
                     for hi in cuts:
                         want = sum(rstar[d] for d in divs if lo <= d <= hi)
-                        assert _rstar_sum(tab, lo, hi) == want, (n, k, lo, hi)
+                        assert _rstar_sum(tab, lo, hi, memo) == want, (n, k, lo, hi)
                         windows += want > 0
+                rest = rest_of(n)
+                if rest <= _LEAF_MAX:
+                    assert memo.get(rest**3), (n, k)  # the root's leaf was built
+                    branches["leaf"] += 1
+                else:
+                    assert rest**3 not in memo, (n, k)
+                    branches["descent"] += 1
+            assert min(branches.values()) >= 2, (k, branches)
         assert windows > 1000
+
+    def test_leaf_against_trial_division(self):
+        # rests on both sides of _LEAF_MAX, rest 1, and head exponents 1 to 3
+        # under a prime above every prime of the rest; each window once
+        # with a fresh memo (the walk) and once with a memo holding the
+        # root's leaf.  Head exponent 2 puts n**3 above 2**63, so the
+        # bisections compare Python ints beyond int64 with array('q').
+        P = next_prime(_LEAF_MAX + 1)
+        rests = (_LEAF_MAX - 1, _LEAF_MAX, _LEAF_MAX + 1, 1)
+        rng = random.Random(37)
+        leaf_windows = widest = 0
+        for k in (1, 2, 3):
+            for rest in rests:
+                for e in (1, 2, 3):
+                    n = P**e * rest
+                    if e == 3 and rest != 1:
+                        continue
+                    divs = sorted(cube_divisors_of_divisors(n))
+                    rstar = {d: rn_star(d, k) for d in divs}
+                    tab = tables_of(n, k)
+                    memo = {}
+                    _rstar_sum(tab, 2, n**3, memo)
+                    _rstar_sum(tab, 2, n**3, memo)
+                    root_leaf = rest <= _LEAF_MAX
+                    assert bool(memo.get(rest**3)) == root_leaf, (n, k)
+                    cuts = [-(2**64), -1, 0, 1, 2, n**3 - 1, n**3, n**3 + 1, 2**63 - 1,
+                            2**63, 2**64 + 7]
+                    cuts += [rng.choice(divs) + rng.randint(-1, 1) for _ in range(6)]
+                    for lo in cuts:
+                        for hi in cuts:
+                            want = sum(rstar[d] for d in divs if lo <= d <= hi)
+                            assert _rstar_sum(tab, lo, hi, {}) == want, (n, k, lo, hi)
+                            assert _rstar_sum(tab, lo, hi, memo) == want, (n, k, lo, hi)
+                            leaf_windows += root_leaf and want > 0
+                    widest = max(widest, n**3)
+        assert leaf_windows > 500
+        assert widest > 2**63
+
+    def test_shared_memo_matches_fresh_memo(self):
+        # one memo across every m of [1, 2**15 + 6), two sieve blocks, gives
+        # what a fresh memo per m gives for the windows of S, T and N*_4
+        B = 2**15 + 5
+        B2 = B * B
+        shared = {}
+        for m, tab in _tables(1, B + 1, 1):
+            cube = m**3
+            for lo, hi in ((1, B2), (1, (cube - 1) // B), ((cube + B - 1) // B, B2)):
+                assert _rstar_sum(tab, lo, hi, shared) == _rstar_sum(tab, lo, hi, {}), (m, lo, hi)
+        assert 0 < len(shared) <= _LEAF_MAX
+        assert all(1 <= c <= _LEAF_MAX**3 for c in shared)  # keyed by rest**3
 
     def test_folded_sum_narrow_windows_near_top(self):
         # count_affine_exact's windows start at ceil(n^3/B), so most of the
@@ -144,7 +224,7 @@ class TestCubeDivisors:
             for hi in (B * B, n**3, n**3 - 1):
                 for lo in ((n**3 + B - 1) // B, hi - 1, hi):
                     listed = sum(r for d, r in _cube_divisors(tab, hi) if d >= lo)
-                    assert _rstar_sum(tab, lo, hi) == listed, (n, k, lo, hi)
+                    assert _rstar_sum(tab, lo, hi, {}) == listed, (n, k, lo, hi)
                     if listed:
                         nonempty += 1
                     else:
@@ -153,6 +233,15 @@ class TestCubeDivisors:
 
 
 class TestTables:
+    def test_cofactor_entries_shared_within_block(self):
+        # 401 exceeds the sieved primes (<= 44) and is below the block
+        # length, so the m = 401 j of the block share one entry for it
+        tabs = dict(_block_tables(1, 2001, 1))
+        heads = [tabs[401 * j][0] for j in (1, 2, 3, 4)]
+        assert heads[0] == ((1, 401, 401**2, 401**3), (1, 402, 402 + 401**2, 402 + 401**2 + 401**3),
+                            401**3, 4 + 3 * 401 + 2 * 401**2 + 401**3)
+        assert all(h is heads[0] for h in heads)
+
     def test_block_seams(self):
         # the counting sums start their blocks at 1 + j * 2**15, so 2**15 and
         # 2**16 each end one; sieved from 2**15 - 20, this range's own first
