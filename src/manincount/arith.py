@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 from typing import Sequence
 
@@ -42,7 +43,7 @@ def primes_upto(n: int) -> list[int]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def factorize(m: int) -> tuple[tuple[int, int], ...]:

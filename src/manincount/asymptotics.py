@@ -8,7 +8,10 @@ constant_Cn's expanded form and poly_P run in exact integer fixed point:
 each factor is a Python int scaled by 2^W, W the working precision plus
 _FIXED_GUARD_BITS, the primes are multiplied in ascending order with one
 truncation per multiply, and the result becomes an mpf once.  So a given
-(s, w, k, prime_limit, digits) always reproduces the same bits.
+(s, w, k, prime_limit, digits) always reproduces the same bits.  poly_P
+takes its ln p from a chain of atanh series over consecutive primes and the
+Stieltjes constant gamma_1 from an Euler-Maclaurin sum, both in fixed point
+with their own guard bits sized from the prime count and from W.
 closed_form_C4, the independent twin of (3/16) G(1, 1), is exact.
 
 Normalization note: the leading constant is defined here as
@@ -449,6 +452,78 @@ def _fixed_jet_mul(x: tuple[int, int, int], y: tuple[int, int, int], W: int
     return x0 * y0 >> W, (x0 * y1 + x1 * y0) >> W, (x0 * y2 + x1 * y1 + x2 * y0) >> W
 
 
+def _log_chain(xs, bits: int):
+    """Yield round(2^bits ln x), within one unit, for each x of xs.
+
+    xs is a sized, increasing sequence of ints >= 2, each at most twice the
+    one before it (consecutive primes or integers).  The logs come from one
+    fixed-point sum at bits + G bits: ln x = ln q + 2 atanh((x - q)/(x + q)),
+    q the previous x and q = 1 first, so ln 2 = 2 atanh(1/3).  As
+    (x - q)/(x + q) <= 1/3, each atanh series stops after at most
+    (bits + G)/3 + 1 terms and each term truncates by less than 2.2 units;
+    so G = bit_length(3 len(xs) (bits + 64)) keeps the whole chain's error
+    below 2^(G-1), and every rounded value within one unit.
+    """
+    G = (3 * len(xs) * (bits + 64)).bit_length()
+    B = bits + G
+    half = 1 << (G - 1)
+    acc, q = 0, 1
+    for x in xs:
+        d, s = x - q, x + q
+        t = tot = (d << B) // s
+        d2, s2, i = d * d, s * s, 3
+        while t:
+            t = t * d2 // s2
+            tot += t // i
+            i += 2
+        acc += 2 * tot
+        q = x
+        yield (acc + half) >> G
+
+
+def _gamma1(bits: int) -> int:
+    """round(2^bits gamma_1), within one unit; gamma_1 the first Stieltjes constant.
+
+    Euler-Maclaurin on f(x) = ln x / x, with f^(m)(x) = (-1)^m m! (ln x - H_m) / x^(m+1):
+    gamma_1 = sum_{k<N} f(k) - (ln N)^2/2 + f(N)/2
+              + sum_{j<=J} (B_2j / 2j) (ln N - H_(2j-1)) / N^2j,
+    with B_2j / 2j = (-1)^(j-1) T_j / (4^j (4^j - 1)), T_j the tangent numbers.
+    J is the largest j with H_2j < ln N, so f^(2J) keeps one sign on [N, oo)
+    and the remainder is at most the j = J term, |B_2J| / (2J)! |f^(2J-1)(N)|.
+    N = 2 bits / 5 + 10 makes that term at most one unit of 2^-(bits + G),
+    which is checked; the < 4N units of truncation sit below the G guard bits.
+    """
+    N = 2 * bits // 5 + 10
+    G = (8 * N).bit_length()
+    B = bits + G
+    logs = [0, 0, *_log_chain(range(2, N + 1), B)]
+    ln_n = logs[N]
+    # H_(2j-1) for each j with H_2j < ln N, tested against ln_n - 1 < ln N
+    h_odd, h, m = [], Fraction(1), 1
+    while (h2 := h + Fraction(1, m + 1)).numerator << B < (ln_n - 1) * h2.denominator:
+        h_odd.append(h)
+        h = h2 + Fraction(1, m + 2)
+        m += 2
+    J = len(h_odd)
+    # Brent-Harvey: the tangent numbers T_1..T_J in O(J^2) integer steps
+    tan = [0, 1] + [0] * (J - 1)
+    for j in range(2, J + 1):
+        tan[j] = (j - 1) * tan[j - 1]
+    for i in range(2, J + 1):
+        for j in range(i, J + 1):
+            tan[j] = (j - i) * tan[j - 1] + (j - i + 2) * tan[j]
+    val = sum(logs[k] // k for k in range(2, N)) - (ln_n * ln_n >> B) // 2 + ln_n // (2 * N)
+    t = 1 << B
+    for j, hj in enumerate(h_odd, 1):
+        t = (tan[j] * (ln_n * hj.denominator - (hj.numerator << B))
+             // (hj.denominator * 4**j * (4**j - 1) * N ** (2 * j)))
+        val += t if j % 2 else -t
+    if t > 1:
+        raise NumericalError(f"gamma_1 at {bits} bits: the Euler-Maclaurin remainder "
+                             f"bound {t} exceeds one unit")
+    return (val + (1 << (G - 1))) >> G
+
+
 def poly_P(
     k: int = 1,
     digits: int = _DEFAULT_DIGITS,
@@ -472,8 +547,20 @@ def poly_P(
     G_p = [1 + u^2k + u^(4k-1) + (u + u^2k + u^4k) E1 + (u + u^2k + u^(4k-1)) E2]
           (1 - u E1)(1 - u E2) / (1 - u^(6k-2)),
     and with L = log p, E1 = 1 - (2L/3) e + (2L^2/9) e^2 and
-    E2 = 1 - (L/3) e + (L^2/18) e^2.  The odd jets are multiplied in fixed
-    point, the denominators as one separate product.
+    E2 = 1 - (L/3) e + (L^2/18) e^2.  So, with a, b the brackets of E1, E2,
+    n0 = 1 + u^2k + u^(4k-1) + a + b and r = 1 - u, the numerator
+    [...] (1 - u E1)(1 - u E2) is the jet (c0, L beta, L^2 gamma) with c0 = n0 r^2,
+    beta = r (n0 u - (2a + b) r/3) and
+    gamma = (4a + b) r^2/18 - (2a + b) r u/3 + n0 (4u^2 - 5ru)/18,
+    one fixed-point jet multiply per prime; the denominators are one
+    separate product.
+
+    The whole pass is integer fixed point at W = working precision + 40
+    guard bits, with no mpmath call per prime: each 2^W L comes from
+    _log_chain, within one unit, and g1 = gamma_1 from _gamma1's
+    Euler-Maclaurin sum, within one unit of 2^-W, with its cutoffs scaled
+    to W.  The guard bits absorb the one-unit truncations, a few dozen per
+    prime, for any prime count below 2^30.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -487,27 +574,25 @@ def poly_P(
         one = 1 << W
         acc = (one, 0, 0)
         den = one
-        with workprec(W):
-            for p in primes[1:]:
-                lg = int(mp.ldexp(mp.log(p), W))
-                lg2 = lg * lg >> W
-                e11, e12 = -2 * lg // 3, 2 * lg2 // 9
-                e21, e22 = -lg // 3, lg2 // 18
-                u = one // p
-                u2k = one // p ** (2 * k)
-                u4k1 = one // p ** (4 * k - 1)
-                a = u + u2k + one // p ** (4 * k)
-                b = u + u2k + u4k1
-                num = (a + b + one + u2k + u4k1,
-                       (a * e11 + b * e21) >> W, (a * e12 + b * e22) >> W)
-                r = one - u
-                lin1 = (r, -(u * e11) >> W, -(u * e12) >> W)
-                lin2 = (r, -(u * e21) >> W, -(u * e22) >> W)
-                acc = _fixed_jet_mul(acc, _fixed_jet_mul(num, _fixed_jet_mul(lin1, lin2, W), W), W)
-                den = den * (one - one // p ** (6 * k - 2)) >> W
+        chain = zip(primes, _log_chain(primes, W))
+        next(chain)  # ln 2 seeds the chain; the 2-adic factor is _g2's
+        for p, lg in chain:
+            u = one // p
+            u2k = one // p ** (2 * k)
+            u4k1 = one // p ** (4 * k - 1)
+            a = u + u2k + one // p ** (4 * k)
+            b = u + u2k + u4k1
+            n0 = a + b + one + u2k + u4k1
+            r = one - u
+            c = 2 * a + b
+            beta3 = r * (3 * n0 * u - c * r) >> 2 * W
+            gamma18 = (((2 * c - b) * r - 6 * c * u) * r + n0 * (4 * u - 5 * r) * u) >> 2 * W
+            acc = _fixed_jet_mul(acc, (n0 * r * r >> 2 * W, lg * beta3 // 3 >> W,
+                                       (lg * lg >> W) * gamma18 // 18 >> W), W)
+            den = den * (one - one // p ** (6 * k - 2)) >> W
         odd = _Jet(*(mp.ldexp(c, -W) for c in acc)) / mp.ldexp(den, -W)
         g = _g2(s, w, k) * odd
-        g0, g1 = +mp.euler, mp.stieltjes(1)
+        g0, g1 = +mp.euler, mp.ldexp(_gamma1(W), -W)
         for a in (1, mpf(2) / 3, mpf(1) / 3):
             g = g * _Jet(mpf(1), a * g0, -a * a * g1)
         g = mpf(27) / 2 * g / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))

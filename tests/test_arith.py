@@ -18,6 +18,7 @@ from manincount.arith import (
     bernoulli,
     factorize,
     mobius_sieve,
+    primes_upto,
     r4,
     rn_exact_table,
     rn_star,
@@ -53,6 +54,16 @@ def convolve_naive(a, b, length):
             if i + j < length:
                 out[i + j] += ai * bj
     return out
+
+
+class TestPrimes:
+    def test_matches_trial_division(self):
+        for n in range(300):
+            assert primes_upto(n) == [m for m in range(2, n + 1)
+                                      if trial_division(m) == ((m, 1),)], n
+
+    def test_prime_count_to_one_million(self):
+        assert len(primes_upto(10**6)) == 78_498
 
 
 class TestFactorize:

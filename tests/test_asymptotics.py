@@ -3,13 +3,17 @@ from itertools import accumulate
 from math import factorial
 
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 
 from manincount.arith import primes_upto, rn_star_prime_powers
 from manincount.asymptotics import (
+    _FIXED_GUARD_BITS,
+    _GUARD_DIGITS,
     DomainError,
     _g2,
+    _gamma1,
     _Jet,
+    _log_chain,
     closed_form_C4,
     constant_Cn,
     constants_bundle,
@@ -25,6 +29,12 @@ from manincount.verify import _poly_fd_oracle
 
 PLIM = 10_000
 DIGITS = 30
+
+
+def fixed_bits(digits: int) -> int:
+    """The fixed-point width W that poly_P works at for this many digits."""
+    with workdps(digits + _GUARD_DIGITS):
+        return mp.prec + _FIXED_GUARD_BITS
 
 
 def g2_exact(k: int) -> Fraction:
@@ -325,14 +335,31 @@ class TestPolyP:
                 for got, want in zip((jet.c0, jet.c1, jet.c2), self.factor_taylor(2, k)):
                     assert abs(got - want) < mpf(10) ** -30, k
 
-    @pytest.mark.parametrize("prime_limit", [2, 3, 3000])
-    def test_matches_mpf_jet_pass(self, prime_limit):
+    # the 30-digit cases keep their bare prime-limit ids
+    @pytest.mark.parametrize("prime_limit, digits", [
+        pytest.param(plim, digits, id=str(plim) if digits == 30 else f"{plim}-{digits}")
+        for digits in (30, 60, 120) for plim in (2, 3, 3000)])
+    def test_matches_mpf_jet_pass(self, prime_limit, digits):
         for k in (1, 2, 3):
-            p = poly_P(k, 30, prime_limit)
-            want = poly_P_mpf(k, 30, prime_limit)
-            with workdps(50):
+            p = poly_P(k, digits, prime_limit)
+            want = poly_P_mpf(k, digits, prime_limit)
+            with workdps(digits + 20):
                 for got, ref in zip((p.a0, p.a1, p.a2), want):
-                    assert abs(got - ref) / abs(ref) < mpf("1e-35"), (k, got, ref)
+                    assert abs(got - ref) / abs(ref) < mpf(10) ** -(digits + 5), (k, got, ref)
+
+    @pytest.mark.parametrize("digits", [30, 60, 120, 200])
+    def test_gamma1_matches_stieltjes(self, digits):
+        W = fixed_bits(digits)
+        with workprec(W + 20):
+            assert abs(_gamma1(W) - mp.ldexp(mp.stieltjes(1), W)) < 1
+
+    @pytest.mark.parametrize("digits", [30, 120])
+    def test_log_chain_within_one_unit(self, digits):
+        W = fixed_bits(digits)
+        primes = primes_upto(20_000)
+        with workprec(W + 20):
+            for p, lg in zip(primes, _log_chain(primes, W), strict=True):
+                assert abs(lg - mp.ldexp(mp.log(p), W)) < 1, p
 
     def test_small_prime_limit(self):
         with pytest.raises(ValueError):
