@@ -134,11 +134,14 @@ def _convolve_exact(a: Sequence[int], b: Sequence[int], length: int) -> list[int
     every entry is below 10**w, no slot carries into the next, and each
     slot read back is the exact entry.
     Entries past ``length`` in a or b cannot reach the first ``length``
-    slots and are dropped before packing.
+    slots and are dropped before packing.  A square (``a is b``) packs
+    its operand once and multiplies that decimal by itself.
     """
     if length <= 0:
         return []
-    a, b = a[:length], b[:length]
+    square = a is b
+    a = a[:length]
+    b = a if square else b[:length]
     if not a or not b:
         return [0] * length
     if min(a) < 0 or min(b) < 0:
@@ -146,8 +149,9 @@ def _convolve_exact(a: Sequence[int], b: Sequence[int], length: int) -> list[int
     w = len(str(min(sum(a) * max(b), max(a) * sum(b))))
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
-    product = ctx.multiply(decimal.Decimal("".join([str(x).zfill(w) for x in reversed(a)])),
-                           decimal.Decimal("".join([str(x).zfill(w) for x in reversed(b)])))
+    x = decimal.Decimal("".join([str(v).zfill(w) for v in reversed(a)]))
+    y = x if square else decimal.Decimal("".join([str(v).zfill(w) for v in reversed(b)]))
+    product = ctx.multiply(x, y)
     width = length * w
     digits = str(product)[-width:].zfill(width)
     return [int(digits[i : i + w]) for i in range(width - w, -1, -w)]
@@ -159,25 +163,43 @@ def _table_bytes(n: int, limit: int) -> int:
     Every r_m(d) with d <= limit counts points of a cube of side
     2 isqrt(limit) + 1 in Z^m, so w = digits((2 isqrt(limit) + 1)**n)
     bounds every table entry and every Kronecker slot width.  Per entry
-    the peak holds seven list slots (theta, r2, r4, the running table,
-    the output and the two truncated operands), four Python ints of at
-    most w digits (28 bytes plus 4 per further 30-bit digit), and the
-    buffers of one product, under 10 w bytes: the packed operands and
-    their product as decimals (8 bytes per 19 digits), libmpdec's
-    transform arrays (four, each at most twice the product's words) and
-    the product's digit string with its slice.  A fixed 4 KiB covers the
-    decimal context and the list headers at tiny limits.
+    the estimate allows seven list slots and four Python ints of at most
+    w digits (28 bytes plus 4 per further 30-bit digit), more than is
+    ever live: one product holds at most five slots (two input tables,
+    their truncated copies, of which a square makes one, and the output)
+    and three ints (the two inputs and the output).  Add the buffers of
+    one product, under 10 w bytes: the packed operands and their product
+    as decimals (8 bytes per 19 digits), libmpdec's transform arrays
+    (four, each at most twice the product's words) and the product's
+    digit string with its slice.  A fixed 4 KiB covers the decimal
+    context and the list headers at tiny limits.
     """
     w = len(str((2 * isqrt(limit) + 1) ** n))
     return 4096 + (limit + 1) * (7 * 8 + 4 * (32 + w // 2) + 10 * w)
 
 
+def _r2_table(limit: int) -> list[int]:
+    """r_2(d) for d = 0..limit: the pairs (i, j) in Z^2 with i^2 + j^2 = d.
+
+    (i, j) -> (-j, i) carries the quarter plane i >= 1, j >= 0 onto the
+    other three, and the four copies cover Z^2 minus the origin, so each
+    pair of that quarter plane adds 4.
+    """
+    squares = [i * i for i in range(isqrt(limit) + 1)]
+    r2 = [0] * (limit + 1)
+    r2[0] = 1
+    for ii in squares[1:]:
+        for jj in squares[: isqrt(limit - ii) + 1]:
+            r2[ii + jj] += 4
+    return r2
+
+
 def rn_exact_table(n: int, limit: int) -> list[int]:
     """Exact r_n(d) for d = 0..limit, n a positive multiple of 4.
 
-    Built purely by lattice counting: the one-dimensional theta table
-    (y^2 = d has 1 solution at d=0, 2 at each positive square) is
-    convolved up to r4, then r4 is convolved (n/4)-fold.  No
+    Built purely by lattice counting: r2 counts the pairs (i, j) with
+    i^2 + j^2 = d directly, r4 = r2 * r2, and r_n = r4^(n/4) by
+    square-and-multiply (r8 = r4^2, r12 = r8 * r4, r16 = r8^2).  No
     divisor-sum formula is involved, so this is an independent oracle
     for the r4/rn_star route.
 
@@ -197,17 +219,17 @@ def rn_exact_table(n: int, limit: int) -> list[int]:
             f"rn_exact_table(n={n}, limit={limit}) exceeds memory budget "
             f"{_TABLE_MEMORY_BUDGET} bytes"
         )
-    theta = [0] * (limit + 1)
-    i = 0
-    while i * i <= limit:
-        theta[i * i] = 1 if i == 0 else 2
-        i += 1
-    r2 = _convolve_exact(theta, theta, limit + 1)
-    r4_table = _convolve_exact(r2, r2, limit + 1)
-    table = r4_table
-    for _ in range(n // 4 - 1):
-        table = _convolve_exact(table, r4_table, limit + 1)
-    return table
+    power = _r2_table(limit)
+    power = _convolve_exact(power, power, limit + 1)
+    table = None
+    m = n // 4
+    while True:
+        if m & 1:
+            table = power if table is None else _convolve_exact(table, power, limit + 1)
+        m >>= 1
+        if not m:
+            return table
+        power = _convolve_exact(power, power, limit + 1)
 
 
 def bernoulli(m: int) -> Fraction:

@@ -30,6 +30,7 @@ from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
 
 from .arith import (
+    ResourceBudgetError,
     mobius_sieve,
     primes_upto,
     rn_exact_table,
@@ -377,7 +378,8 @@ def t_sum(B: int, k: int = 1, workers: int | None = None) -> int:
 
 # Largest lattice table built so far, per n.  Convolution prefixes are
 # stable, so a longer table serves every smaller limit; growth doubles to
-# amortize rebuilds when callers sweep B upward.
+# amortize rebuilds when callers sweep B upward, and falls back to the
+# requested limit when the doubled one is over the memory budget.
 _RN_TABLES: dict[int, list[int]] = {}
 
 
@@ -385,7 +387,10 @@ def _rn_table(n: int, limit: int) -> list[int]:
     t = _RN_TABLES.get(n)
     if t is None or len(t) <= limit:
         target = max(limit, 2 * (len(t) - 1) if t else 0, 4096)
-        t = rn_exact_table(n, target)
+        try:
+            t = rn_exact_table(n, target)
+        except ResourceBudgetError:
+            t = rn_exact_table(n, limit)
         _RN_TABLES[n] = t
     return t
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from manincount import verify
 from manincount.arith import (
     ResourceBudgetError,
     _convolve_exact,
+    _r2_table,
     _table_bytes,
     bernoulli,
     factorize,
@@ -169,6 +170,26 @@ class TestR4AndTables:
         for d in range(121):
             assert t16[d] == verify.rn_lattice_oracle(16, d), d
 
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 48, 49, 50, 120, 143, 144, 145])
+    def test_r2_count_matches_double_loop(self, limit):
+        k = isqrt(limit)
+        expected = [0] * (limit + 1)
+        for i in range(-k, k + 1):
+            for j in range(-k, k + 1):
+                if i * i + j * j <= limit:
+                    expected[i * i + j * j] += 1
+        assert _r2_table(limit) == expected
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_squared_tables_match_lattice_oracle(self, n):
+        table = rn_exact_table(n, 120)
+        assert table == [verify.rn_lattice_oracle(n, d) for d in range(121)]
+
+    def test_tiny_limits(self):
+        for n in (4, 8, 12, 16):
+            assert rn_exact_table(n, 0) == [1]
+            assert rn_exact_table(n, 1) == [1, 2 * n]
+
     def test_budget_estimate_covers_peak(self):
         tracemalloc.start()
         try:
@@ -189,17 +210,30 @@ class TestConvolveExact:
                 length = rng.randint(1, len(a) + len(b) + 5)
                 assert _convolve_exact(a, b, length) == convolve_naive(a, b, length)
 
+    def test_square_against_naive(self):
+        rng = random.Random(2018)
+        for lo, hi in ((0, 1), (0, 1000), (2**64, 2**64 + 1000), (0, 2**200)):
+            for _ in range(40):
+                a = [rng.randint(lo, hi) for _ in range(rng.randint(1, 30))]
+                length = rng.randint(1, 2 * len(a) + 5)
+                assert _convolve_exact(a, a, length) == convolve_naive(a, a, length)
+
     def test_all_zero_input(self):
         assert _convolve_exact([0, 0, 0], [5, 6], 4) == [0, 0, 0, 0]
         assert _convolve_exact([0], [0], 3) == [0, 0, 0]
+        zeros = [0, 0, 0]
+        assert _convolve_exact(zeros, zeros, 5) == [0] * 5
 
     def test_length_one(self):
         assert _convolve_exact([7, 1, 2], [3, 4], 1) == [21]
         assert _convolve_exact([2**100], [2**90], 1) == [2**190]
+        a = [2**100, 5]
+        assert _convolve_exact(a, a, 1) == [2**200]
 
     def test_length_past_full_product(self):
         a, b = [1, 2, 3], [4, 5]
         assert _convolve_exact(a, b, 9) == [4, 13, 22, 15, 0, 0, 0, 0, 0]
+        assert _convolve_exact(a, a, 8) == [1, 4, 10, 12, 9, 0, 0, 0]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from math import floor, isqrt
 
 import pytest
 
-from manincount import counting
+from manincount import arith, counting
 from manincount.arith import factorize, rn_star, rn_star_prime_powers
 from manincount.counting import (
     _LEAF_MAX,
@@ -394,6 +394,16 @@ class TestAffine:
         exact = count_affine_exact(B, 8)
         assert exact == count_affine_bruteforce(B, 8)
         assert exact == 32 * (s_sum(B, B * B, 2) - t_sum(B, 2))
+
+    def test_table_growth_falls_back_to_the_requested_limit(self, monkeypatch):
+        # doubling 5000 asks for 10000, over this budget; 6000 itself fits
+        monkeypatch.setattr(arith, "_TABLE_MEMORY_BUDGET", arith._table_bytes(8, 9000))
+        monkeypatch.setattr(counting, "_RN_TABLES", {})
+        assert len(counting._rn_table(8, 5000)) == 5001
+        table = counting._rn_table(8, 6000)
+        assert table == arith.rn_exact_table(8, 6000)
+        with pytest.raises(arith.ResourceBudgetError, match="limit=9500"):
+            counting._rn_table(8, 9500)
 
     def test_query_validation(self):
         with pytest.raises(ValueError, match="B must be >= 1"):
