@@ -13,7 +13,6 @@ from .arith import (
     bernoulli,
     factorize,
     mobius_sieve,
-    r4,
     rn_exact_table,
     rn_star,
 )
@@ -25,7 +24,6 @@ from .asymptotics import (
     constant_Cn,
     constants_bundle,
     euler_product_G,
-    local_factor,
     poly_P,
     predict_S,
     predict_T,
@@ -44,8 +42,6 @@ from .counting import (
     t_sum,
 )
 from .hessian import (
-    CubicPoint,
-    HessianMatrix,
     hessian_at,
     rank_over_rationals,
     rank_profile,

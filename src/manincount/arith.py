@@ -20,7 +20,6 @@ __all__ = [
     "factorize",
     "mobius_sieve",
     "primes_upto",
-    "r4",
     "rn_exact_table",
     "rn_star",
     "rn_star_prime_powers",
@@ -114,13 +113,6 @@ def rn_star(d: int, k: int = 1) -> int:
     return out
 
 
-def r4(d: int) -> int:
-    """Number of (y1..y4) in Z^4 with y1^2+...+y4^2 = d, via 8*rn_star(d)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return 8 * rn_star(d)
-
-
 def _convolve_exact(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     """First ``length`` entries of the additive convolution of nonnegative a and b.
 
@@ -201,7 +193,7 @@ def rn_exact_table(n: int, limit: int) -> list[int]:
     i^2 + j^2 = d directly, r4 = r2 * r2, and r_n = r4^(n/4) by
     square-and-multiply (r8 = r4^2, r12 = r8 * r4, r16 = r8^2).  No
     divisor-sum formula is involved, so this is an independent oracle
-    for the r4/rn_star route.
+    for Jacobi's r_4 = 8 rn_star route.
 
     Each convolution is one exact Kronecker-substitution product
     (``_convolve_exact``), O(L log L) in the table length L.  All inputs

@@ -46,7 +46,6 @@ __all__ = [
     "constant_Cn",
     "constants_bundle",
     "euler_product_G",
-    "local_factor",
     "poly_P",
     "predict_S",
     "predict_T",
@@ -63,6 +62,9 @@ _DEFAULT_DIGITS = 30
 # constant_Cn's compact and expanded forms must agree to this relative
 # tolerance beyond the zeta(6k-2) tail past the prime limit
 _CONSISTENCY_TOL = 1e-9
+# distance from the edge of the absolute convergence region that
+# _check_domain requires of every (s, w)
+_DOMAIN_EPS = 1e-9
 
 
 class DomainError(ValueError):
@@ -142,29 +144,19 @@ def zbar(sigma, digits: int = _DEFAULT_DIGITS) -> mpf:
         return +v
 
 
-def _check_domain(s, w, k: int, eps: float = 1e-9) -> None:
+def _check_domain(s, w, k: int) -> None:
+    """Require min_j (s + j w - j(2k-1)) >= 1/2 + _DOMAIN_EPS, the region
+    where every Euler factor G_p(s, w) converges absolutely."""
     for j in range(4):
-        if s + j * w - j * (2 * k - 1) < mpf(1) / 2 + eps:
+        if s + j * w - j * (2 * k - 1) < mpf(1) / 2 + _DOMAIN_EPS:
             raise DomainError(
                 f"(s, w) = ({s}, {w}) violates s + {j}w - {j}(2k-1) >= 1/2 + eps for k={k}"
             )
 
 
-def local_factor(p: int, s, w, k: int = 1, digits: int = _DEFAULT_DIGITS) -> mpf:
-    """The Euler factor G_p(s, w) for the double divisor sum with r_{4k}*.
-
-    Requires min_j (s + j w - j(2k-1)) >= 1/2 (absolute convergence region).
-    """
-    _check_domain(s, w, k)
-    with workdps(digits + _GUARD_DIGITS):
-        s = mpf(s)
-        w = mpf(w)
-        if p == 2:
-            return +_g2(s, w, k)
-        return +_gp_odd(mpf(p), s, w, k)
-
-
 def _gp_odd(p: mpf, s, w, k: int) -> mpf:
+    """The Euler factor G_p(s, w) at an odd prime p for the double divisor
+    sum with r_{4k}*, at the working precision."""
     z = p ** (2 * k - 1)
     num = (
         1
@@ -659,22 +651,19 @@ def predict_S(
 
 def predict_T(
     B,
-    k: int = 1,
     digits: int = _DEFAULT_DIGITS,
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
 ) -> mpf:
-    """Main term of T(B) for k = 1: (1/9) C_script B^3 (log B)^2.
+    """Main term of T(B) at n = 4: (1/9) C_script B^3 (log B)^2.
 
-    Only n = 4 is exposed: the dyadic bracketing that produces the 1/9
-    has only been worked out for that case.
+    Only n = 4 has one: the dyadic bracketing that produces the 1/9 has
+    only been worked out for that case.
     """
-    if k != 1:
-        raise NotImplementedError("predict_T is only available for k = 1 (n = 4)")
     with workdps(digits + _GUARD_DIGITS):
         B = mpf(B)
         if B < 10:
             raise DomainError(f"need B >= 10, got {B}")
-        poly = cached_poly(k, digits, prime_limit)
+        poly = cached_poly(1, digits, prime_limit)
         return +(poly.a2 / 9 * B**3 * mp.log(B) ** 2)
 
 

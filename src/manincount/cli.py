@@ -4,7 +4,8 @@ Subcommands: ``count`` (exact counters, optionally with their brute-force
 oracles), ``constants`` (the constants bundle as JSON), ``verify``
 (invariant suites) and ``scan`` (convergence CSV).  Exit codes: 0 ok,
 1 verification/oracle failure, 2 usage, 3 resource budget, 4 internal
-inconsistency.  MANIN_WORKERS sets the default worker count.
+inconsistency.  ``--workers`` (default 1) sets the process count of the
+counting sums; their output does not depend on it.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     k = n // 4
     bundle = asymptotics.constants_bundle(n, plim, digits)
     poly = asymptotics.poly_P(k, digits, plim)
-    with workdps(digits + 10):
+    with workdps(digits + asymptotics._GUARD_DIGITS):
         doc: dict[str, object] = {
             "n": n,
             "C_script": _nstr(bundle.C_script, digits),
@@ -179,19 +180,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 SCAN_HEADER = "B,n,exact,predicted,ratio,log_B,scaled_error"
 
 
-def scan_rows(quantity: str, b_list: list[int], n: int, workers: int | None = None) -> str:
+def scan_rows(quantity: str, b_list: list[int], n: int, workers: int = 1) -> str:
     """CSV convergence report, one row per B, header fixed: the exact value,
-    its leading-term prediction and the scaled error."""
+    its leading-term prediction and the scaled error.
+
+    T has a prediction only at n = 4; any other n raises UsageError before
+    anything is counted.
+    """
+    if quantity == "T" and n != 4:
+        raise UsageError("--quantity T has a prediction only for --n 4")
     k = n // 4
     rows = [SCAN_HEADER]
-    with workdps(40):  # the predictors' 30 digits and their 10 guard digits
+    # the predictors' default digits and their guard digits
+    with workdps(asymptotics._DEFAULT_DIGITS + asymptotics._GUARD_DIGITS):
         for B in b_list:
             if quantity == "S":
                 exact = counting.s_sum(B, B * B, k, workers=workers)
                 predicted = asymptotics.predict_S(B, B * B, k, "leading")
             elif quantity == "T":
                 exact = counting.t_sum(B, k, workers=workers)
-                predicted = asymptotics.predict_T(B, k)
+                predicted = asymptotics.predict_T(B)
             elif quantity == "Nstar":
                 exact = counting.count_affine_exact(B, n, workers=workers)
                 predicted = asymptotics.predict_counts(B, n)[0]
@@ -212,8 +220,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --B-list: {exc}") from None
     if not b_list or any(b < 1 for b in b_list):
         raise UsageError("--B-list needs a nonempty comma list of positive integers")
-    if args.quantity == "T" and args.n != 4:
-        raise UsageError("--quantity T has a prediction only for --n 4")
     text = scan_rows(args.quantity, b_list, args.n, workers=args.workers)
     _write(text, args.out)
     return EXIT_OK
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--oracle", action="store_true")
     p_count.add_argument("--out")
     p_count.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
-    p_count.add_argument("--workers", type=_positive_int, default=None)
+    p_count.add_argument("--workers", type=_positive_int, default=1)
     p_count.set_defaults(fn=cmd_count)
 
     p_const = sub.add_parser("constants", help="constants bundle as JSON")
@@ -258,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run invariant suites")
     p_verify.add_argument("--suite", required=True,
                           choices=sorted(verify.SUITES) + ["all"])
-    p_verify.add_argument("--budget", choices=["quick", "full"], default="quick")
+    p_verify.add_argument("--budget", choices=verify.BUDGETS, default="quick")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=_positive_int, default=None)
+    p_verify.add_argument("--workers", type=_positive_int, default=1)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="convergence CSV over a list of B")
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--B-list", dest="B_list", required=True)
     p_scan.add_argument("--n", type=_multiple_of_4, default=4)
     p_scan.add_argument("--out")
-    p_scan.add_argument("--workers", type=_positive_int, default=None)
+    p_scan.add_argument("--workers", type=_positive_int, default=1)
     p_scan.set_defaults(fn=cmd_scan)
 
     return parser

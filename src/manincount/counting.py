@@ -18,7 +18,6 @@ addition makes the result independent of the worker count.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -29,13 +28,7 @@ from math import isqrt
 from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
 
-from .arith import (
-    ResourceBudgetError,
-    mobius_sieve,
-    primes_upto,
-    rn_exact_table,
-    rn_star_prime_powers,
-)
+from .arith import mobius_sieve, primes_upto, rn_exact_table, rn_star_prime_powers
 
 __all__ = [
     "GridPoint",
@@ -47,12 +40,9 @@ __all__ = [
     "identity_scan",
     "introot",
     "mean_value_M",
-    "resolve_workers",
     "s_sum",
     "t_sum",
 ]
-
-WORKERS_ENV = "MANIN_WORKERS"
 
 
 def _check_query(B: int, n: int) -> None:
@@ -61,15 +51,6 @@ def _check_query(B: int, n: int) -> None:
         raise ValueError(f"B must be >= 1, got {B}")
     if n < 4 or n % 4 != 0:
         raise ValueError(f"n must be a positive multiple of 4, got {n}")
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else MANIN_WORKERS, else 1."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    return workers
 
 
 def introot(x: int, e: int) -> int:
@@ -344,6 +325,8 @@ def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) 
     The jobs are the blocks of _tables, whatever ``workers`` is; a pool
     starts only when there are two jobs or more to share.
     """
+    if workers < 1:
+        raise ValueError("worker count must be >= 1")
     jobs = [(a, min(a + _SIEVE_BLOCK, x + 1)) + extra for a in range(1, x + 1, _SIEVE_BLOCK)]
     procs = min(workers, len(jobs))
     if procs <= 1:
@@ -356,46 +339,40 @@ def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) 
 # the divisor sums
 
 
-def s_sum(x: int, y: int, k: int = 1, workers: int | None = None) -> int:
+def s_sum(x: int, y: int, k: int = 1, workers: int = 1) -> int:
     """S(x, y) = sum over n <= x and d | n**3 with d <= y of r_{4k}*(d)."""
     if x < 1:
         raise ValueError("x must be >= 1")
     if y < 0:
         raise ValueError("y must be >= 0")
-    return _run_blocks(_block_s, x, (k, y), resolve_workers(workers))
+    return _run_blocks(_block_s, x, (k, y), workers)
 
 
-def t_sum(B: int, k: int = 1, workers: int | None = None) -> int:
+def t_sum(B: int, k: int = 1, workers: int = 1) -> int:
     """T(B) = sum over n <= B and d | n**3 with d*B < n**3 of r_{4k}*(d)."""
     if B < 1:
         raise ValueError("B must be >= 1")
-    return _run_blocks(_block_t, B, (k, B), resolve_workers(workers))
+    return _run_blocks(_block_t, B, (k, B), workers)
 
 
 # ---------------------------------------------------------------------------
 # affine counts
 
 
-# Largest lattice table built so far, per n.  Convolution prefixes are
-# stable, so a longer table serves every smaller limit; growth doubles to
-# amortize rebuilds when callers sweep B upward, and falls back to the
-# requested limit when the doubled one is over the memory budget.
+# Longest lattice table built so far, per n.  Convolution prefixes are
+# stable, so a longer table serves every smaller limit; a shorter one is
+# replaced by the table at exactly the requested limit.
 _RN_TABLES: dict[int, list[int]] = {}
 
 
 def _rn_table(n: int, limit: int) -> list[int]:
     t = _RN_TABLES.get(n)
     if t is None or len(t) <= limit:
-        target = max(limit, 2 * (len(t) - 1) if t else 0, 4096)
-        try:
-            t = rn_exact_table(n, target)
-        except ResourceBudgetError:
-            t = rn_exact_table(n, limit)
-        _RN_TABLES[n] = t
+        t = _RN_TABLES[n] = rn_exact_table(n, limit)
     return t
 
 
-def count_affine_exact(B: int, n: int = 4, workers: int | None = None) -> int:
+def count_affine_exact(B: int, n: int = 4, workers: int = 1) -> int:
     """Number of integral (x, y1..yn, z) on x**3 = (y1^2+...+yn^2) z with
     max(|x|, sqrt(sum y^2), |z|) <= B and x, z nonzero.
 
@@ -406,7 +383,7 @@ def count_affine_exact(B: int, n: int = 4, workers: int | None = None) -> int:
     """
     _check_query(B, n)
     if n == 4:
-        inner = _run_blocks(_block_affine4, B, (1, B), resolve_workers(workers))
+        inner = _run_blocks(_block_affine4, B, (1, B), workers)
         return 16 * inner
     table = _rn_table(n, B * B)
     total = 0
@@ -441,7 +418,7 @@ def count_affine_bruteforce(B: int, n: int = 4) -> int:
 # projective counts
 
 
-def count_projective(B: int, n: int = 4, workers: int | None = None) -> int:
+def count_projective(B: int, n: int = 4, workers: int = 1) -> int:
     """Coprime-representative count with height max(...)**(n-1) <= B.
 
     Moebius inversion over the scaling classes: with R = floor(B**(1/(n-1))),

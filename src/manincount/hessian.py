@@ -6,70 +6,42 @@ z = 0 has Hessian rank <= 3, so the box [-B, B]^(n+2) holds at least
 B^(r+eps) bound a rank-stratified count would need, which is exactly what
 these counters let a test observe.
 
-The rank counts come in closed form; the exact matrix and its Bareiss rank
-are kept for the enumeration that ``verify.suite_hessian`` checks them
-against.
+The rank counts come in closed form; the exact matrix rows and their
+Bareiss rank are kept for the enumeration that ``verify.suite_hessian``
+checks them against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
-    "CubicPoint",
-    "HessianMatrix",
     "hessian_at",
     "rank_over_rationals",
     "rank_profile",
 ]
 
-@dataclass(frozen=True)
-class CubicPoint:
-    """Integer point (x, y_1..y_n, z) in coordinate order (x, y, z)."""
 
-    x: int
-    y: tuple[int, ...]
-    z: int
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
-
-@dataclass(frozen=True)
-class HessianMatrix:
-    """Symmetric integer (n+2) x (n+2) matrix of second partials."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.entries)
-        for row in self.entries:
-            if len(row) != m:
-                raise ValueError("matrix must be square")
-        for i in range(m):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
-
-
-def hessian_at(p: CubicPoint) -> HessianMatrix:
-    """Second partials of (sum y_i^2) z - x^3 at p, rows (x, y_1..y_n, z):
+def hessian_at(x: int, y: Sequence[int], z: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the second partials of (sum y_i^2) z - x^3 at (x, y_1..y_n, z),
+    in coordinate order (x, y_1..y_n, z):
 
     H_xx = -6x, H_{y_i y_i} = 2z, H_{y_i z} = 2 y_i, everything else 0.
     """
-    n = p.n
+    n = len(y)
     m = n + 2
     rows = [[0] * m for _ in range(m)]
-    rows[0][0] = -6 * p.x
+    rows[0][0] = -6 * x
     for i in range(1, n + 1):
-        rows[i][i] = 2 * p.z
-        rows[i][n + 1] = rows[n + 1][i] = 2 * p.y[i - 1]
-    return HessianMatrix(tuple(tuple(r) for r in rows))
+        rows[i][i] = 2 * z
+        rows[i][n + 1] = rows[n + 1][i] = 2 * y[i - 1]
+    return tuple(tuple(r) for r in rows)
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Exact rank by Bareiss fraction-free elimination."""
+def rank_over_rationals(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank over Q of an integer matrix by Bareiss fraction-free
+    elimination on a copy of its rows (no tolerances involved)."""
+    rows = [list(r) for r in rows]
     m = len(rows)
     if m == 0:
         return 0
@@ -99,11 +71,6 @@ def _int_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank_over_rationals(h: HessianMatrix) -> int:
-    """Exact rank of the matrix over Q (no tolerances involved)."""
-    return _int_rank([list(r) for r in h.entries])
-
-
 def rank_profile(B: int, n: int = 4) -> dict[int, int]:
     """Number of points of each Hessian rank in the box [-B, B]^(n+2).
 
@@ -127,4 +94,3 @@ def rank_profile(B: int, n: int = 4) -> dict[int, int]:
                 r = x_nz + (n + y_nz if z_nz else 2 * y_nz)
                 profile[r] = profile.get(r, 0) + cx * cy * cz
     return dict(sorted(profile.items()))
-

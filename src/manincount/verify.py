@@ -12,13 +12,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, floor, isqrt
+from math import factorial, isqrt
 
 from mpmath import mp, mpf, workdps
 
 from . import arith, asymptotics, counting, hessian
 
 __all__ = [
+    "BUDGETS",
     "CheckResult",
     "SUITES",
     "rn_lattice_oracle",
@@ -98,7 +99,7 @@ def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mp
     series; zbar evaluates (s - 1) zeta(s) itself, so this route shares
     neither poly_P's odd Euler factor nor its zb expansion.
     """
-    with workdps(digits + 10):
+    with workdps(digits + asymptotics._GUARD_DIGITS):
         h = mpf(1e-3)
 
         def g_of_s(s: mpf) -> mpf:
@@ -136,7 +137,7 @@ def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mp
 # suites
 
 
-def suite_identities(budget: str = "quick", workers: int | None = None) -> list[CheckResult]:
+def suite_identities(budget: str = "quick", workers: int = 1) -> list[CheckResult]:
     """The affine decomposition N*_4(B) = 16 (S(B, B^2) - T(B)) for every B."""
     out: list[CheckResult] = []
     bmax = 500 if budget == "quick" else 10_000
@@ -159,7 +160,7 @@ def suite_identities(budget: str = "quick", workers: int | None = None) -> list[
     return out
 
 
-def suite_oracles(budget: str = "quick", workers: int | None = None) -> list[CheckResult]:
+def suite_oracles(budget: str = "quick", workers: int = 1) -> list[CheckResult]:
     """Brute-force counters against the exact ones, and the r-function routes."""
     out: list[CheckResult] = []
     b_aff = 50 if budget == "quick" else 200
@@ -187,8 +188,9 @@ def suite_oracles(budget: str = "quick", workers: int | None = None) -> list[Che
 
     table4 = arith.rn_exact_table(4, d_r4)
     for d in range(1, d_r4 + 1):
-        if arith.r4(d) != table4[d]:
-            _check(out, "r4-oracle", False, f"d={d}: r4={arith.r4(d)} table={table4[d]}")
+        r4 = 8 * arith.rn_star(d)
+        if r4 != table4[d]:
+            _check(out, "r4-oracle", False, f"d={d}: r4={r4} table={table4[d]}")
             return out
     _check(out, "r4-oracle", True, f"all d <= {d_r4}")
 
@@ -215,7 +217,7 @@ def suite_constants(budget: str = "quick") -> list[CheckResult]:
     fd_ks = (1,) if budget == "quick" else (1, 2, 3)
     plim_cross = 100_000 if budget == "quick" else 1_000_000
     digits = 30
-    with workdps(digits + 10):
+    with workdps(digits + asymptotics._GUARD_DIGITS):
         closed = asymptotics.closed_form_C4(digits)
         g11 = asymptotics.euler_product_G(1, 1, 1, plim_cross, digits)
         c4 = mpf(3) / 16 * g11.value
@@ -298,13 +300,12 @@ def suite_hessian(budget: str = "quick") -> list[CheckResult]:
         enumerated: dict[int, int] = {}
         worst = 0
         for x, *y, z in product(range(-B, B + 1), repeat=n + 2):
-            p = hessian.CubicPoint(x, tuple(y), z)
-            r = hessian.rank_over_rationals(hessian.hessian_at(p))
+            r = hessian.rank_over_rationals(hessian.hessian_at(x, y, z))
             enumerated[r] = enumerated.get(r, 0) + 1
             if z == 0:
                 worst = max(worst, r)
                 if r > 3:
-                    _check(out, f"z0-rank-B{B}", False, f"x={x} y={p.y}: rank {r} > 3")
+                    _check(out, f"z0-rank-B{B}", False, f"x={x} y={tuple(y)}: rank {r} > 3")
                     return out
         _check(out, f"z0-rank-B{B}", True, f"max rank {worst} over z=0 slice")
 
@@ -324,6 +325,8 @@ def suite_hessian(budget: str = "quick") -> list[CheckResult]:
     return out
 
 
+BUDGETS = ("quick", "full")
+
 SUITES = {
     "identities": suite_identities,
     "oracles": suite_oracles,
@@ -334,8 +337,11 @@ SUITES = {
 
 
 def run_suite(name: str, budget: str = "quick", seed: int = 0,
-              workers: int | None = None) -> list[CheckResult]:
-    """Run one named suite (or 'all'); results stop at the first failure."""
+              workers: int = 1) -> list[CheckResult]:
+    """Run one named suite (or 'all') at budget 'quick' or 'full'; results
+    stop at the first failure."""
+    if budget not in BUDGETS:
+        raise ValueError(f"unknown budget {budget!r}; expected one of {BUDGETS}")
     if name == "all":
         results: list[CheckResult] = []
         for key in SUITES:

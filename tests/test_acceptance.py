@@ -1,14 +1,15 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete.  The trend criterion records its scaled-error baseline in
-tests/data/trend_baseline.json on the first full run and enforces a 10%
-no-regression band afterwards.
+complete.  The trend criterion enforces a 10% no-regression band against
+the scaled-error baseline in tests/data/trend_baseline.json; a missing
+baseline fails it, so the gate cannot re-baseline itself.
 """
 
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -166,22 +167,26 @@ def test_criterion_08_asymptotic_trend(trend_csvs):
     current = {q: {str(B): rows[q][B]["scaled_error"] for B in TREND_B}
                for q in TREND_QUANTITIES}
     if not os.path.exists(BASELINE_PATH):
-        os.makedirs(DATA_DIR, exist_ok=True)
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(current, fh, indent=2, sort_keys=True)
-        bounded = True
-        base_note = "baseline recorded on this first full run"
-    else:
-        with open(BASELINE_PATH) as fh:
-            baseline = json.load(fh)
-        bounded = all(
-            current[q][str(B)] <= 1.1 * baseline[q][str(B)]
-            for q in TREND_QUANTITIES for B in TREND_B
-        )
-        base_note = "within 10% of the recorded baseline"
+        report(8, False, f"trend baseline {BASELINE_PATH} is missing; restore it from "
+                         "version control rather than recording a new one")
+    with open(BASELINE_PATH) as fh:
+        baseline = json.load(fh)
+    bounded = all(
+        current[q][str(B)] <= 1.1 * baseline[q][str(B)]
+        for q in TREND_QUANTITIES for B in TREND_B
+    )
     report(8, finite and bounded and decreasing and joined,
-           f"scaled errors finite and {base_note}; |ratio-1| strictly decreasing "
-           f"from B=1e4 to 3e5 for S, T, N*")
+           "scaled errors finite and within 10% of the recorded baseline; |ratio-1| "
+           "strictly decreasing from B=1e4 to 3e5 for S, T, N*")
+
+
+def test_criterion_08_missing_baseline_fails(trend_csvs, monkeypatch, tmp_path, capsys):
+    missing = tmp_path / "trend_baseline.json"
+    monkeypatch.setattr(sys.modules[__name__], "BASELINE_PATH", str(missing))
+    with pytest.raises(AssertionError, match="criterion 8 failed"):
+        test_criterion_08_asymptotic_trend(trend_csvs)
+    assert "ACCEPTANCE 08 FAIL: trend baseline" in capsys.readouterr().out
+    assert not missing.exists()
 
 
 def test_criterion_09_hessian_audit():

@@ -20,7 +20,6 @@ from manincount.arith import (
     factorize,
     mobius_sieve,
     primes_upto,
-    r4,
     rn_exact_table,
     rn_star,
 )
@@ -141,9 +140,10 @@ class TestRnStar:
 
 class TestR4AndTables:
     def test_r4_examples(self):
-        assert r4(1) == 8
-        assert r4(4) == 24
-        assert r4(3) == 32
+        # Jacobi: r_4(d) = 8 r_4*(d)
+        assert 8 * rn_star(1) == 8
+        assert 8 * rn_star(4) == 24
+        assert 8 * rn_star(3) == 32
 
     def test_table_entries(self):
         t8 = rn_exact_table(8, 4)
@@ -154,7 +154,7 @@ class TestR4AndTables:
     def test_r4_table_matches_r4(self):
         t4 = rn_exact_table(4, 3000)
         for d in range(1, 3001):
-            assert t4[d] == r4(d)
+            assert t4[d] == 8 * rn_star(d)
 
     def test_budget_error_names_limit(self):
         with pytest.raises(ResourceBudgetError, match="limit=10000000000"):

@@ -12,13 +12,13 @@ from manincount.asymptotics import (
     DomainError,
     _g2,
     _gamma1,
+    _gp_odd,
     _Jet,
     _log_chain,
     closed_form_C4,
     constant_Cn,
     constants_bundle,
     euler_product_G,
-    local_factor,
     poly_P,
     predict_S,
     predict_T,
@@ -94,12 +94,19 @@ def poly_P_mpf(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mpf]:
         return g.c2, g.c1, g.c0 / 2
 
 
+def g_p(p: int, s, w, k: int) -> mpf:
+    """The Euler factor G_p(s, w) by its mpf formula (_g2 at p = 2, _gp_odd
+    at odd p), at the working precision."""
+    s, w = mpf(s), mpf(w)
+    return _g2(s, w, k) if p == 2 else _gp_odd(mpf(p), s, w, k)
+
+
 def euler_product_mpf(s, w, k: int, digits: int, prime_limit: int) -> mpf:
-    """_g2 times the product of local_factor over odd p <= prime_limit at digits + 20."""
+    """The product of g_p over the primes p <= prime_limit at digits + 20."""
     with workdps(digits + 20):
-        prod = _g2(mpf(s), mpf(w), k)
-        for p in primes_upto(prime_limit)[1:]:
-            prod *= local_factor(p, s, w, k, digits=digits + 20)
+        prod = mpf(1)
+        for p in primes_upto(prime_limit):
+            prod *= g_p(p, s, w, k)
         return prod
 
 
@@ -126,7 +133,7 @@ class TestZeta:
 class TestLocalFactor:
     def test_g2_at_11(self):
         with workdps(40):
-            assert abs(local_factor(2, 1, 1, 1) - mpf(3) / 10) < mpf(10) ** -30
+            assert abs(g_p(2, 1, 1, 1) - mpf(3) / 10) < mpf(10) ** -30
 
     def test_odd_prime_algebraic_identity(self):
         # G_p(1,1) = (1 + 2/p + 3/p^2 + 2/p^3 + 1/p^4)(1 - 1/p)^2 / (1 - 1/p^4)
@@ -136,7 +143,7 @@ class TestLocalFactor:
                     continue
                 u = mpf(1) / p
                 alg = (1 + 2 * u + 3 * u**2 + 2 * u**3 + u**4) * (1 - u) ** 2 / (1 - u**4)
-                assert abs(local_factor(p, 1, 1, 1) - alg) < mpf(10) ** -30, p
+                assert abs(g_p(p, 1, 1, 1) - alg) < mpf(10) ** -30, p
 
     def test_general_k_reduces_to_k1_at_2(self):
         # oracle: the k = 1 factor written out,
@@ -168,29 +175,29 @@ class TestLocalFactor:
                         want = F
                         for j in range(4):
                             want *= 1 - mpf(p) ** -(s + j * w - j * (2 * k - 1))
-                        err = abs(local_factor(p, s, w, k) - want) / want
+                        err = abs(g_p(p, s, w, k) - want) / want
                         assert err <= mpf("1e-25"), (p, k, s, w, err)
 
     def test_decay_on_prime_grid(self):
         with workdps(30):
             for (s, w, k) in ((1, 1, 1), (1, 3, 2), (mpf("1.2"), mpf("0.9"), 1)):
                 for p in (101, 1009, 9973):
-                    dev = abs(local_factor(p, s, w, k) - 1)
+                    dev = abs(g_p(p, s, w, k) - 1)
                     assert dev <= 20 * mpf(p) ** mpf("-1.5"), (s, w, k, p)
 
     def test_domain_error_names_j(self):
         # w = 0.8 satisfies the j = 1, 2 constraints but not j = 3
         with pytest.raises(DomainError, match="3w"):
-            local_factor(3, 1, 0.8, 1)
+            euler_product_G(1, 0.8, 1, prime_limit=3)
         with pytest.raises(DomainError, match="1w"):
-            local_factor(3, 1, 0.4, 1)
+            euler_product_G(1, 0.4, 1, prime_limit=3)
 
 
 class TestEulerProduct:
     def test_single_factor(self):
         v = euler_product_G(1, 1, 1, prime_limit=2, digits=30)
         with workdps(40):
-            assert abs(v.value - local_factor(2, 1, 1, 1)) < mpf(10) ** -30
+            assert abs(v.value - g_p(2, 1, 1, 1)) < mpf(10) ** -30
 
     def test_monotone_convergence(self):
         with workdps(40):
@@ -314,10 +321,9 @@ class TestPolyP:
 
     @staticmethod
     def factor_taylor(p, k):
-        # mp.taylor differentiates at several times the working precision;
-        # local_factor must evaluate at that precision, not round to 60 digits
-        return mp.taylor(
-            lambda e: local_factor(p, 1 + e, (6 * k - 3 - e) / 3, k, digits=mp.dps), 0, 2)
+        # mp.taylor differentiates at several times the working precision,
+        # and g_p evaluates at whatever precision is current
+        return mp.taylor(lambda e: g_p(p, 1 + e, (6 * k - 3 - e) / 3, k), 0, 2)
 
     def test_odd_factor_jet(self):
         with workdps(60):
@@ -381,7 +387,7 @@ class TestPredictors:
     def test_T_over_S_leading_is_quarter(self):
         with workdps(40):
             B = mpf(1000)
-            r = (predict_T(B, 1, prime_limit=PLIM)
+            r = (predict_T(B, prime_limit=PLIM)
                  / predict_S(B, B * B, 1, "leading", prime_limit=PLIM))
             assert abs(r - mpf(1) / 4) < mpf(10) ** -30
 
@@ -397,7 +403,7 @@ class TestPredictors:
         with workdps(40):
             B = mpf(5000)
             lhs = 16 * (predict_S(B, B * B, 1, "leading", prime_limit=PLIM)
-                        - predict_T(B, 1, prime_limit=PLIM))
+                        - predict_T(B, prime_limit=PLIM))
             rhs = predict_counts(B, 4, prime_limit=PLIM)[0]
             assert abs(lhs - rhs) / rhs < mpf(10) ** -25
 
@@ -406,10 +412,8 @@ class TestPredictors:
             predict_S(5, 25, 1)
         with pytest.raises(DomainError):
             predict_S(100, 100**4, 1)
-        with pytest.raises(NotImplementedError):
-            predict_T(100, 2)
         with pytest.raises(DomainError):
-            predict_T(2, 1)
+            predict_T(2)
 
     def test_full_predictor_tracks_k2_sums(self):
         # x y^3 (8P + (10/3)P' - P''/3) should sit within a few percent of

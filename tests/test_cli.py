@@ -1,6 +1,8 @@
 import json
 
-from manincount.cli import main
+import pytest
+
+from manincount.cli import UsageError, main, scan_rows
 from manincount.verify import run_suite
 
 
@@ -143,6 +145,13 @@ class TestVerify:
         assert "poly-derivatives-k1" in [r.name for r in constants]
         assert "rank-profile-B2" in [r.name for r in hessian]
 
+    @pytest.mark.parametrize("budget", ["Quick", "ful", ""])
+    def test_unknown_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="unknown budget"):
+            run_suite("identities", budget)
+        with pytest.raises(ValueError, match="unknown budget"):
+            run_suite("all", budget)
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
@@ -184,10 +193,12 @@ class TestScan:
             texts.append(path.read_bytes())
         assert texts[0] == texts[1] == texts[2]
 
-    def test_workers_env_default(self, capsys, monkeypatch, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run(capsys, "scan", "--quantity", "S", "--B-list", "30", "--out", str(a))
-        monkeypatch.setenv("MANIN_WORKERS", "3")
-        run(capsys, "scan", "--quantity", "S", "--B-list", "30", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
+    def test_library_T_needs_n4(self, monkeypatch):
+        from manincount import counting
+
+        def never(*args, **kwargs):
+            raise AssertionError("counted before rejecting quantity T at n = 8")
+
+        monkeypatch.setattr(counting, "t_sum", never)
+        with pytest.raises(UsageError, match="--n 4"):
+            scan_rows("T", [100], 8)

@@ -312,9 +312,9 @@ class TestSsum:
             for w in (2, 3, 5):
                 assert s_sum(x, x**2, workers=w) == ref
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("MANIN_WORKERS", "2")
-        assert s_sum(100, 100**2) == s_sum(100, 100**2, workers=1)
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="worker count must be >= 1"):
+            s_sum(10, 100, workers=0)
 
 
 class TestTsum:
@@ -395,15 +395,17 @@ class TestAffine:
         assert exact == count_affine_bruteforce(B, 8)
         assert exact == 32 * (s_sum(B, B * B, 2) - t_sum(B, 2))
 
-    def test_table_growth_falls_back_to_the_requested_limit(self, monkeypatch):
-        # doubling 5000 asks for 10000, over this budget; 6000 itself fits
+    def test_table_grows_to_exactly_the_requested_limit(self, monkeypatch):
+        # 6000 fits this budget, 9500 does not
         monkeypatch.setattr(arith, "_TABLE_MEMORY_BUDGET", arith._table_bytes(8, 9000))
         monkeypatch.setattr(counting, "_RN_TABLES", {})
         assert len(counting._rn_table(8, 5000)) == 5001
         table = counting._rn_table(8, 6000)
         assert table == arith.rn_exact_table(8, 6000)
+        assert counting._rn_table(8, 100) is table  # a shorter limit reuses it
         with pytest.raises(arith.ResourceBudgetError, match="limit=9500"):
             counting._rn_table(8, 9500)
+        assert counting._RN_TABLES[8] is table
 
     def test_query_validation(self):
         with pytest.raises(ValueError, match="B must be >= 1"):
