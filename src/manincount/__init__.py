@@ -21,16 +21,13 @@ from .asymptotics import (
     EulerProductValue,
     PolynomialP,
     closed_form_C4,
-    constant_Cn,
     constants_bundle,
     euler_product_G,
-    poly_P,
     predict_S,
     predict_T,
     predict_counts,
 )
 from .counting import (
-    GridPoint,
     apply_D,
     count_affine_bruteforce,
     count_affine_exact,

@@ -3,16 +3,20 @@ asymptotics, the residue polynomial P(t), and the main-term predictors.
 
 Everything runs through mpmath at a caller-chosen number of digits
 (30 minimum for constants work; double precision has no headroom for the
-dual-route identities).  The odd-prime products of euler_product_G,
-constant_Cn's expanded form and poly_P run in exact integer fixed point:
-each factor is a Python int scaled by 2^W, W the working precision plus
-_FIXED_GUARD_BITS, the primes are multiplied in ascending order with one
-truncation per multiply, and the result becomes an mpf once.  So a given
-(s, w, k, prime_limit, digits) always reproduces the same bits.  poly_P
-takes its ln p from a chain of atanh series over consecutive primes and the
-Stieltjes constant gamma_1 from an Euler-Maclaurin sum, both in fixed point
-with their own guard bits sized from the prime count and from W.
-closed_form_C4, the independent twin of (3/16) G(1, 1), is exact.
+dual-route identities).  Two passes run over the odd primes, both in exact
+integer fixed point: euler_product_G, and the line pass that carries G's
+odd part on the line w = (6k-2-s)/3 as a jet in s - 1.  Each factor is a
+Python int scaled by 2^W, W the working precision plus _FIXED_GUARD_BITS,
+the primes are multiplied in ascending order with one truncation per
+multiply, and the result becomes an mpf once.  So a given
+(s, w, k, prime_limit, digits) always reproduces the same bits.  The line
+pass takes its ln p from a chain of atanh series over consecutive primes,
+and P(t) its Stieltjes constant gamma_1 from an Euler-Maclaurin sum, both
+in fixed point with their own guard bits sized from the prime count and
+from W.  constants_bundle runs each pass once per (n, prime_limit, digits):
+the line pass gives P(t) and, from its value term alone, the expanded twin
+of C_script.  closed_form_C4, the independent twin of (3/16) G(1, 1), is
+exact.
 
 Normalization note: the leading constant is defined here as
 C_script(4k) = (3 / (16 k (2k-1))) * G(1, 2k-1), with the matching
@@ -40,13 +44,9 @@ __all__ = [
     "InternalConsistencyError",
     "NumericalError",
     "PolynomialP",
-    "cached_bundle",
-    "cached_poly",
     "closed_form_C4",
-    "constant_Cn",
     "constants_bundle",
     "euler_product_G",
-    "poly_P",
     "predict_S",
     "predict_T",
     "predict_counts",
@@ -59,7 +59,7 @@ _GUARD_DIGITS = 10
 _FIXED_GUARD_BITS = 40
 _DEFAULT_PRIME_LIMIT = 100_000
 _DEFAULT_DIGITS = 30
-# constant_Cn's compact and expanded forms must agree to this relative
+# C_script's compact form and its expanded twin must agree to this relative
 # tolerance beyond the zeta(6k-2) tail past the prime limit
 _CONSISTENCY_TOL = 1e-9
 # distance from the edge of the absolute convergence region that
@@ -87,7 +87,6 @@ class EulerProductValue:
     """
 
     value: mpf
-    prime_limit: int
     tail_bound: mpf
 
 
@@ -112,12 +111,14 @@ class PolynomialP:
 
 @dataclass(frozen=True)
 class ConstantsBundle:
-    """The constants for one dimension n = 4k, with provenance."""
+    """The constants and the residue quadratic P(t) (poly) for one dimension
+    n = 4k, with provenance."""
 
     n: int
     C_script: mpf
     C_star: mpf
     C_proj: mpf
+    poly: PolynomialP
     bernoulli_used: Fraction
     prefactor: Fraction
     prime_limit: int
@@ -276,7 +277,7 @@ def euler_product_G(
                 den = den * (one - m30) >> W
         prod = _g2(s, w, k) * mp.ldexp(num, -W) / mp.ldexp(den, -W)
         tail_log = _tail_log_bound(s, w, k, prime_limit)
-        return EulerProductValue(+prod, prime_limit, +mp.expm1(tail_log))
+        return EulerProductValue(+prod, +mp.expm1(tail_log))
 
 
 def closed_form_C4(digits: int = _DEFAULT_DIGITS) -> mpf:
@@ -291,99 +292,8 @@ def closed_form_C4(digits: int = _DEFAULT_DIGITS) -> mpf:
         return +(27 * mp.zeta(4) / (392 * mp.zeta(3) ** 2))
 
 
-def constant_Cn(
-    k: int,
-    prime_limit: int = _DEFAULT_PRIME_LIMIT,
-    digits: int = _DEFAULT_DIGITS,
-) -> EulerProductValue:
-    """The leading constant for n = 4k, evaluated along both of its forms.
-
-    Compact form: (3 / (16 k (2k-1))) G(1, 2k-1).  Expanded form: an exact
-    dyadic prefactor times zeta(6k-2) times the odd-prime product
-    (1 + 2/p + 3/p^2k + 2/p^(4k-1) + 1/p^4k)(1 - 1/p)^2.  The compact value
-    is returned.  The expanded form carries all of zeta(6k-2), the compact
-    form only its primes <= prime_limit, so at a finite prime limit P they
-    differ by the factor prod_{p > P} (1 - p^-(6k-2))^-1, which exceeds 1
-    by at most sum_{m > P} m^-(6k-2) <= P^-(6k-3) / (6k-3).  A relative
-    disagreement beyond _CONSISTENCY_TOL plus that bound raises
-    InternalConsistencyError.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    g = euler_product_G(1, 2 * k - 1, k, prime_limit, digits)
-    with workdps(digits + _GUARD_DIGITS):
-        compact = mpf(3) / (16 * k * (2 * k - 1)) * g.value
-
-        sign = -1 if k % 2 else 1
-        half = Fraction(1, 2)
-        bracket = (2 ** (2 * k + 1) - 4) * (1 - half ** (6 * k - 2)) + sign * (
-            2 - half ** (2 * k) - half ** (4 * k - 1) - half ** (6 * k - 3)
-        )
-        pref = Fraction(3) * bracket / (128 * k * (2 * k - 1) * (2 ** (2 * k - 1) - 1))
-        W = mp.prec + _FIXED_GUARD_BITS
-        one = 1 << W
-        acc = one
-        for p in primes_upto(prime_limit)[1:]:
-            u = one // p
-            f = (one + 2 * u + 3 * (one // p ** (2 * k)) + 2 * (one // p ** (4 * k - 1))
-                 + one // p ** (4 * k))
-            acc = acc * f * (one - u) ** 2 >> 3 * W
-        prod = mp.ldexp(acc, -W)
-        expanded = mpf(pref.numerator) / pref.denominator * mp.zeta(6 * k - 2) * prod
-
-        rel = abs(compact - expanded) / abs(compact)
-        tol = _CONSISTENCY_TOL + mpf(prime_limit) ** (3 - 6 * k) / (6 * k - 3)
-        if rel > tol:
-            raise InternalConsistencyError(
-                f"constant_Cn(k={k}): compact and expanded forms differ by {mp.nstr(rel, 6)} "
-                f"relative (tolerance {mp.nstr(tol, 6)})"
-            )
-        return EulerProductValue(+compact, prime_limit, g.tail_bound)
-
-
-def constants_bundle(
-    n: int,
-    prime_limit: int = _DEFAULT_PRIME_LIMIT,
-    digits: int = _DEFAULT_DIGITS,
-) -> ConstantsBundle:
-    """All constants for dimension n = 4k.
-
-    C_star = C_script * (2n / (|B_{n/2}| (2^{n/2} - 1))) * (n(n-2) / (3(3n-4)))
-    with the rational prefactor kept exact (16/3 at n = 4), and
-    C_proj = C_star / ((n-1)^2 zeta(n-1)).
-    """
-    if n < 4 or n % 4 != 0:
-        raise ValueError(f"n must be a positive multiple of 4, got {n}")
-    k = n // 4
-    c = constant_Cn(k, prime_limit, digits)
-    b = bernoulli(n // 2)
-    notes = []
-    if b < 0:
-        notes.append(
-            f"B_{n // 2} = {b} is negative; the affine prefactor uses |B_{n // 2}| "
-            "(the only sign making the count positive)"
-        )
-    pref = Fraction(2 * n) / (abs(b) * (2 ** (n // 2) - 1)) * Fraction(n * (n - 2), 3 * (3 * n - 4))
-    with workdps(digits + _GUARD_DIGITS):
-        znm1 = +mp.zeta(n - 1)
-        c_star = +(mpf(pref.numerator) / pref.denominator * c.value)
-        c_proj = +(c_star / ((n - 1) ** 2 * znm1))
-    return ConstantsBundle(
-        n=n,
-        C_script=c.value,
-        C_star=c_star,
-        C_proj=c_proj,
-        bernoulli_used=b,
-        prefactor=pref,
-        prime_limit=prime_limit,
-        digits=digits,
-        tail_bound=c.tail_bound,
-        notes=tuple(notes),
-    )
-
-
 # ---------------------------------------------------------------------------
-# the residue polynomial
+# the line pass, the residue polynomial and the constants bundle
 
 
 class _Jet:
@@ -516,22 +426,9 @@ def _gamma1(bits: int) -> int:
     return (val + (1 << (G - 1))) >> G
 
 
-def poly_P(
-    k: int = 1,
-    digits: int = _DEFAULT_DIGITS,
-    prime_limit: int = _DEFAULT_PRIME_LIMIT,
-) -> PolynomialP:
-    """Taylor data of g_k at s = 1: a2 = g(1)/2, a1 = g'(1), a0 = g''(1)/2.
-
-    These are the coefficients of the quadratic P(t) whose value, slope and
-    curvature drive the S(x, y) main term.  Here
-    g_k(s) = 3 (s-1)^3 F3*(s) / ((6k-2-s)(6k+1-s) s (s+1)), F3* carrying
-    G(s, (6k-2-s)/3), with the triple pole cancelled analytically:
-    (s-1)^3 zeta(s) zeta((2s+1)/3) zeta((s+2)/3) = (9/2) zb(s) zb((2s+1)/3) zb((s+2)/3).
-    Every factor is carried as its degree-2 jet in e = s - 1: the Euler
-    product in one pass over the primes up to prime_limit, and each zb from
-    its Stieltjes series zb(1 + a e) = 1 + a g0 e - a^2 g1 e^2 + O(e^3).
-    The derivatives are exact for the product truncated at prime_limit.
+def _line_pass(k: int, prime_limit: int, W: int) -> tuple[tuple[int, int, int], int]:
+    """The odd part of G(s, (6k-2-s)/3) over the primes 2 < p <= prime_limit,
+    as (numerator jet in e = s - 1, denominator product), all scaled by 2^W.
 
     On the line w = (6k-2-s)/3 every exponent of the odd factor is an
     integer plus a multiple of e.  With u = 1/p, E1 = p^(-2e/3) and
@@ -545,68 +442,135 @@ def poly_P(
     beta = r (n0 u - (2a + b) r/3) and
     gamma = (4a + b) r^2/18 - (2a + b) r u/3 + n0 (4u^2 - 5ru)/18,
     one fixed-point jet multiply per prime; the denominators are one
-    separate product.
+    separate product.  c0 = (1 + 2u + 3u^2k + 2u^(4k-1) + u^4k)(1 - u)^2 is
+    the odd factor of C_script's expanded form, so the numerator's value
+    term is that form's product.
 
-    The whole pass is integer fixed point at W = working precision + 40
-    guard bits, with no mpmath call per prime: each 2^W L comes from
-    _log_chain, within one unit, and g1 = gamma_1 from _gamma1's
-    Euler-Maclaurin sum, within one unit of 2^-W, with its cutoffs scaled
-    to W.  The guard bits absorb the one-unit truncations, a few dozen per
+    There is no mpmath call per prime: each 2^W L comes from _log_chain,
+    within one unit.  The _FIXED_GUARD_BITS that W carries past the
+    working precision absorb the one-unit truncations, a few dozen per
     prime, for any prime count below 2^30.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be >= 2")
     primes = primes_upto(prime_limit)
+    one = 1 << W
+    num = (one, 0, 0)
+    den = one
+    chain = zip(primes, _log_chain(primes, W))
+    next(chain)  # ln 2 seeds the chain; the 2-adic factor is _g2's
+    for p, lg in chain:
+        u = one // p
+        u2k = one // p ** (2 * k)
+        u4k1 = one // p ** (4 * k - 1)
+        a = u + u2k + one // p ** (4 * k)
+        b = u + u2k + u4k1
+        n0 = a + b + one + u2k + u4k1
+        r = one - u
+        c = 2 * a + b
+        beta3 = r * (3 * n0 * u - c * r) >> 2 * W
+        gamma18 = (((2 * c - b) * r - 6 * c * u) * r + n0 * (4 * u - 5 * r) * u) >> 2 * W
+        num = _fixed_jet_mul(num, (n0 * r * r >> 2 * W, lg * beta3 // 3 >> W,
+                                   (lg * lg >> W) * gamma18 // 18 >> W), W)
+        den = den * (one - one // p ** (6 * k - 2)) >> W
+    return num, den
+
+
+@cache
+def constants_bundle(
+    n: int,
+    prime_limit: int = _DEFAULT_PRIME_LIMIT,
+    digits: int = _DEFAULT_DIGITS,
+) -> ConstantsBundle:
+    """All constants for dimension n = 4k, memoized per argument tuple.
+
+    C_script = (3 / (16 k (2k-1))) G(1, 2k-1) from euler_product_G.  Its
+    expanded twin is an exact dyadic prefactor times zeta(6k-2) times the
+    odd-prime product of (1 + 2/p + 3/p^2k + 2/p^(4k-1) + 1/p^4k)(1 - 1/p)^2,
+    the value term of _line_pass's numerator; it reads neither _g2 nor
+    euler_product_G.  The twin carries all of zeta(6k-2), the compact form
+    only its primes <= prime_limit, so at a finite prime limit P they differ
+    by the factor prod_{p > P} (1 - p^-(6k-2))^-1, which exceeds 1 by at
+    most sum_{m > P} m^-(6k-2) <= P^-(6k-3) / (6k-3).  A relative
+    disagreement beyond _CONSISTENCY_TOL plus that bound raises
+    InternalConsistencyError.
+
+    poly is the residue quadratic P(t): a2 = g(1)/2, a1 = g'(1),
+    a0 = g''(1)/2 for g_k(s) = 3 (s-1)^3 F3*(s) / ((6k-2-s)(6k+1-s) s (s+1)),
+    F3* carrying G(s, (6k-2-s)/3), whose value, slope and curvature drive
+    the S(x, y) main term.  The triple pole cancels analytically:
+    (s-1)^3 zeta(s) zeta((2s+1)/3) zeta((s+2)/3) = (9/2) zb(s) zb((2s+1)/3) zb((s+2)/3).
+    Every factor is a degree-2 jet in e = s - 1: the odd Euler product from
+    the same line pass, _g2 on jets, and each zb from its Stieltjes series
+    zb(1 + a e) = 1 + a g0 e - a^2 g1 e^2 + O(e^3), g1 = gamma_1 from
+    _gamma1 within one unit of 2^-W.  The derivatives are exact for the
+    product truncated at prime_limit.
+
+    C_star = C_script * (2n / (|B_{n/2}| (2^{n/2} - 1))) * (n(n-2) / (3(3n-4)))
+    with the rational prefactor kept exact (16/3 at n = 4), and
+    C_proj = C_star / ((n-1)^2 zeta(n-1)).
+    """
+    if n < 4 or n % 4 != 0:
+        raise ValueError(f"n must be a positive multiple of 4, got {n}")
+    k = n // 4
+    g = euler_product_G(1, 2 * k - 1, k, prime_limit, digits)
+    b = bernoulli(n // 2)
+    notes = []
+    if b < 0:
+        notes.append(
+            f"B_{n // 2} = {b} is negative; the affine prefactor uses |B_{n // 2}| "
+            "(the only sign making the count positive)"
+        )
+    pref = Fraction(2 * n) / (abs(b) * (2 ** (n // 2) - 1)) * Fraction(n * (n - 2), 3 * (3 * n - 4))
     with workdps(digits + _GUARD_DIGITS):
+        W = mp.prec + _FIXED_GUARD_BITS
+        num, den = _line_pass(k, prime_limit, W)
+        c_script = mpf(3) / (16 * k * (2 * k - 1)) * g.value
+
+        sign = -1 if k % 2 else 1
+        half = Fraction(1, 2)
+        bracket = (2 ** (2 * k + 1) - 4) * (1 - half ** (6 * k - 2)) + sign * (
+            2 - half ** (2 * k) - half ** (4 * k - 1) - half ** (6 * k - 3)
+        )
+        dyadic = Fraction(3) * bracket / (128 * k * (2 * k - 1) * (2 ** (2 * k - 1) - 1))
+        expanded = (mpf(dyadic.numerator) / dyadic.denominator * mp.zeta(6 * k - 2)
+                    * mp.ldexp(num[0], -W))
+        rel = abs(c_script - expanded) / abs(c_script)
+        tol = _CONSISTENCY_TOL + mpf(prime_limit) ** (3 - 6 * k) / (6 * k - 3)
+        if rel > tol:
+            raise InternalConsistencyError(
+                f"constants_bundle(n={n}): compact and expanded forms of C_script differ by "
+                f"{mp.nstr(rel, 6)} relative (tolerance {mp.nstr(tol, 6)})"
+            )
+
         s = _Jet(mpf(1), mpf(1))
         w = (6 * k - 2 - s) / 3
-        W = mp.prec + _FIXED_GUARD_BITS
-        one = 1 << W
-        acc = (one, 0, 0)
-        den = one
-        chain = zip(primes, _log_chain(primes, W))
-        next(chain)  # ln 2 seeds the chain; the 2-adic factor is _g2's
-        for p, lg in chain:
-            u = one // p
-            u2k = one // p ** (2 * k)
-            u4k1 = one // p ** (4 * k - 1)
-            a = u + u2k + one // p ** (4 * k)
-            b = u + u2k + u4k1
-            n0 = a + b + one + u2k + u4k1
-            r = one - u
-            c = 2 * a + b
-            beta3 = r * (3 * n0 * u - c * r) >> 2 * W
-            gamma18 = (((2 * c - b) * r - 6 * c * u) * r + n0 * (4 * u - 5 * r) * u) >> 2 * W
-            acc = _fixed_jet_mul(acc, (n0 * r * r >> 2 * W, lg * beta3 // 3 >> W,
-                                       (lg * lg >> W) * gamma18 // 18 >> W), W)
-            den = den * (one - one // p ** (6 * k - 2)) >> W
-        odd = _Jet(*(mp.ldexp(c, -W) for c in acc)) / mp.ldexp(den, -W)
-        g = _g2(s, w, k) * odd
+        odd = _Jet(*(mp.ldexp(c, -W) for c in num)) / mp.ldexp(den, -W)
+        gk = _g2(s, w, k) * odd
         g0, g1 = +mp.euler, mp.ldexp(_gamma1(W), -W)
         for a in (1, mpf(2) / 3, mpf(1) / 3):
-            g = g * _Jet(mpf(1), a * g0, -a * a * g1)
-        g = mpf(27) / 2 * g / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))
-        return PolynomialP(a0=+g.c2, a1=+g.c1, a2=+(g.c0 / 2), k=k)
+            gk = gk * _Jet(mpf(1), a * g0, -a * a * g1)
+        gk = mpf(27) / 2 * gk / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))
+        poly = PolynomialP(a0=+gk.c2, a1=+gk.c1, a2=+(gk.c0 / 2), k=k)
+
+        znm1 = +mp.zeta(n - 1)
+        c_star = +(mpf(pref.numerator) / pref.denominator * c_script)
+        c_proj = +(c_star / ((n - 1) ** 2 * znm1))
+    return ConstantsBundle(
+        n=n,
+        C_script=c_script,
+        C_star=c_star,
+        C_proj=c_proj,
+        poly=poly,
+        bernoulli_used=b,
+        prefactor=pref,
+        prime_limit=prime_limit,
+        digits=digits,
+        tail_bound=g.tail_bound,
+        notes=tuple(notes),
+    )
 
 
 # ---------------------------------------------------------------------------
 # main-term predictors
-
-
-@cache
-def cached_poly(k: int, digits: int = _DEFAULT_DIGITS,
-                prime_limit: int = _DEFAULT_PRIME_LIMIT) -> PolynomialP:
-    """poly_P memoized per (k, digits, prime_limit); values are unchanged."""
-    return poly_P(k, digits, prime_limit)
-
-
-@cache
-def cached_bundle(n: int, digits: int = _DEFAULT_DIGITS,
-                  prime_limit: int = _DEFAULT_PRIME_LIMIT) -> ConstantsBundle:
-    """constants_bundle memoized per (n, digits, prime_limit)."""
-    return constants_bundle(n, prime_limit, digits)
 
 
 def predict_S(
@@ -636,7 +600,7 @@ def predict_S(
         y = mpf(y)
         if x < 10 or y < x or y > x**3:
             raise DomainError(f"need 10 <= x <= y <= x^3, got x={x}, y={y}")
-        poly = cached_poly(k, digits, prime_limit)
+        poly = constants_bundle(4 * k, prime_limit=prime_limit, digits=digits).poly
         psi = mp.log(x) - mp.log(y) / 3
         scale = x * y ** (2 * k - 1)
         if mode == "leading":
@@ -663,7 +627,7 @@ def predict_T(
         B = mpf(B)
         if B < 10:
             raise DomainError(f"need B >= 10, got {B}")
-        poly = cached_poly(1, digits, prime_limit)
+        poly = constants_bundle(4, prime_limit=prime_limit, digits=digits).poly
         return +(poly.a2 / 9 * B**3 * mp.log(B) ** 2)
 
 
@@ -674,7 +638,7 @@ def predict_counts(
     prime_limit: int = _DEFAULT_PRIME_LIMIT,
 ) -> tuple[mpf, mpf]:
     """(N*_n prediction, N_n prediction) = (C*_n B^(n-1) (log B)^2, C_n B (log B)^2)."""
-    bundle = cached_bundle(n, digits, prime_limit)
+    bundle = constants_bundle(n, prime_limit=prime_limit, digits=digits)
     with workdps(digits + _GUARD_DIGITS):
         B = mpf(B)
         if B < 10:

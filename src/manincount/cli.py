@@ -124,9 +124,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
     n, plim, digits = args.n, args.prime_limit, args.digits
     if digits < 30:
         raise UsageError("--digits must be at least 30 for constants work")
-    k = n // 4
-    bundle = asymptotics.constants_bundle(n, plim, digits)
-    poly = asymptotics.poly_P(k, digits, plim)
+    bundle = asymptotics.constants_bundle(n, prime_limit=plim, digits=digits)
+    poly = bundle.poly
     with workdps(digits + asymptotics._GUARD_DIGITS):
         doc: dict[str, object] = {
             "n": n,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -31,7 +30,6 @@ from typing import Callable, Iterator, Sequence
 from .arith import mobius_sieve, primes_upto, rn_exact_table, rn_star_prime_powers
 
 __all__ = [
-    "GridPoint",
     "apply_D",
     "count_affine_bruteforce",
     "count_affine_exact",
@@ -537,37 +535,6 @@ def mean_value_M(X: Fraction | int, Y: Fraction | int, k: int = 1) -> Fraction:
 def apply_D(f: Callable[[Fraction, Fraction], Fraction], X, H, Y, J):
     """The second-difference operator: f(H,J) - f(H,Y) - f(X,J) + f(X,Y)."""
     return f(H, J) - f(H, Y) - f(X, J) + f(X, Y)
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """A bracketing box: base point (X, Y) with side lengths H <= X, J <= Y.
-
-    Applying the second difference of the mean value M over the shifted
-    boxes pins H*J*S(X, Y) from both sides, all in exact rationals.
-    """
-
-    X: Fraction
-    Y: Fraction
-    H: Fraction
-    J: Fraction
-
-    def __post_init__(self) -> None:
-        if not (self.X >= 1 and self.Y >= 1):
-            raise ValueError("need X >= 1 and Y >= 1")
-        if not (0 < self.H <= self.X and 0 < self.J <= self.Y):
-            raise ValueError("need 0 < H <= X and 0 < J <= Y")
-
-    def lower_bracket(self, k: int = 1) -> Fraction:
-        M = lambda a, b: mean_value_M(a, b, k)  # noqa: E731
-        return apply_D(M, self.X - self.H, self.X, self.Y - self.J, self.Y)
-
-    def upper_bracket(self, k: int = 1) -> Fraction:
-        M = lambda a, b: mean_value_M(a, b, k)  # noqa: E731
-        return apply_D(M, self.X, self.X + self.H, self.Y, self.Y + self.J)
-
-    def middle(self, k: int = 1) -> Fraction:
-        return self.H * self.J * s_sum(math.floor(self.X), math.floor(self.Y), k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, isqrt
+from math import factorial, floor, isqrt
 
 from mpmath import mp, mpf, workdps
 
@@ -82,7 +82,7 @@ def rn_lattice_oracle(n: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle for poly_P
+# finite-difference oracle for P(t)
 
 
 def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mpf, mpf]:
@@ -94,10 +94,11 @@ def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mp
     euler_product_G and zbar; derivatives come from central differences at
     steps h, h/2, h/4 plus one Richardson level, and error_estimate is the
     gap between the two Richardson values.  The table must contract
-    monotonically or NumericalError is raised.  poly_P's jet pass takes the
-    derivatives analytically instead, with each zb from its Stieltjes
-    series; zbar evaluates (s - 1) zeta(s) itself, so this route shares
-    neither poly_P's odd Euler factor nor its zb expansion.
+    monotonically or NumericalError is raised.  constants_bundle takes the
+    derivatives analytically instead, from its line pass's jet of the odd
+    Euler factor and each zb's Stieltjes series; zbar evaluates
+    (s - 1) zeta(s) itself, so this route shares neither that line pass
+    nor the zb expansion.
     """
     with workdps(digits + asymptotics._GUARD_DIGITS):
         h = mpf(1e-3)
@@ -230,12 +231,12 @@ def suite_constants(budget: str = "quick") -> list[CheckResult]:
 
         for k in (1, 2, 3):
             try:
-                c = asymptotics.constant_Cn(k, plim, digits)
+                bundle = asymptotics.constants_bundle(4 * k, prime_limit=plim, digits=digits)
             except asymptotics.InternalConsistencyError as exc:
                 _check(out, f"dual-line-k{k}", False, str(exc))
                 return out
-            p = asymptotics.poly_P(k, digits, plim)
-            rel = abs(p.a2 - c.value) / abs(c.value)
+            c, p = bundle.C_script, bundle.poly
+            rel = abs(p.a2 - c) / abs(c)
             if not _check(out, f"leading-coeff-k{k}", rel < mpf(10) ** -25,
                           f"a2 vs C rel={mp.nstr(rel, 6)}"):
                 return out
@@ -252,9 +253,9 @@ def suite_constants(budget: str = "quick") -> list[CheckResult]:
                               f"|a1-fd|={mp.nstr(gap1, 3)} |a0-fd|={mp.nstr(gap0, 3)} "
                               f"fd_error={mp.nstr(err, 3)} a2 rel={mp.nstr(rel2, 3)}"):
                     return out
-            _check(out, f"dual-line-k{k}", True, f"C_script={mp.nstr(c.value, 12)}")
+            _check(out, f"dual-line-k{k}", True, f"C_script={mp.nstr(c, 12)}")
 
-        bundle = asymptotics.constants_bundle(4, plim, digits)
+        bundle = asymptotics.constants_bundle(4, prime_limit=plim, digits=digits)
         if not _check(out, "prefactor-16/3", bundle.prefactor == Fraction(16, 3),
                       f"got {bundle.prefactor}"):
             return out
@@ -278,13 +279,14 @@ def suite_bracketing(seed: int = 0) -> list[CheckResult]:
         qx, qy = rng.randint(1, 16), rng.randint(1, 16)
         X = Fraction(rng.randint(qx, 50 * qx), qx)
         Y = Fraction(rng.randint(qy, 200 * qy), qy)
-        box = counting.GridPoint(X, Y,
-                                 H=X * Fraction(rng.randint(1, 64), 64),
-                                 J=Y * Fraction(rng.randint(1, 64), 64))
-        if not box.lower_bracket() <= box.middle() <= box.upper_bracket():
+        H = X * Fraction(rng.randint(1, 64), 64)
+        J = Y * Fraction(rng.randint(1, 64), 64)
+        low = counting.apply_D(counting.mean_value_M, X - H, X, Y - J, Y)
+        mid = H * J * counting.s_sum(floor(X), floor(Y))
+        high = counting.apply_D(counting.mean_value_M, X, X + H, Y, Y + J)
+        if not low <= mid <= high:
             _check(out, "bracketing", False,
-                   f"case {i}: X={box.X} Y={box.Y} H={box.H} J={box.J}: "
-                   f"{box.lower_bracket()} <= {box.middle()} <= {box.upper_bracket()} fails")
+                   f"case {i}: X={X} Y={Y} H={H} J={J}: {low} <= {mid} <= {high} fails")
             return out
     _check(out, "bracketing", True, f"{trials} seeded cases (seed={seed})")
     return out

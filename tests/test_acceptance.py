@@ -115,10 +115,9 @@ def test_criterion_05_leading_coefficient():
     ok = True
     rels = []
     for k in (1, 2, 3):
-        p = asymptotics.cached_poly(k, DIGITS, PLIM)
-        c = asymptotics.constant_Cn(k, PLIM, DIGITS)
+        b = asymptotics.constants_bundle(4 * k, prime_limit=PLIM, digits=DIGITS)
         with workdps(DIGITS + 10):
-            rel = abs(p.a2 - c.value) / abs(c.value)
+            rel = abs(b.poly.a2 - b.C_script) / abs(b.C_script)
         ok &= rel < mpf(10) ** -25
         rels.append(mp.nstr(rel, 3))
     report(5, ok, f"P(t) leading coefficient equals the constant for k=1,2,3 "
@@ -126,12 +125,12 @@ def test_criterion_05_leading_coefficient():
 
 
 def test_criterion_06_prefactor_and_dual_line():
-    bundle = asymptotics.cached_bundle(4, DIGITS, PLIM)
+    bundle = asymptotics.constants_bundle(4, prime_limit=PLIM, digits=DIGITS)
     ok = bundle.prefactor == Fraction(16, 3)
     dual_ok = True
     try:
         for k in (1, 2, 3):
-            asymptotics.constant_Cn(k, PLIM, DIGITS)
+            asymptotics.constants_bundle(4 * k, prime_limit=PLIM, digits=DIGITS)
     except asymptotics.InternalConsistencyError:
         dual_ok = False
     report(6, ok and dual_ok,

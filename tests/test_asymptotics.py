@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
@@ -5,21 +6,21 @@ from math import factorial
 import pytest
 from mpmath import mp, mpf, workdps, workprec
 
+from manincount import asymptotics, cli
 from manincount.arith import primes_upto, rn_star_prime_powers
 from manincount.asymptotics import (
     _FIXED_GUARD_BITS,
     _GUARD_DIGITS,
     DomainError,
+    InternalConsistencyError,
     _g2,
     _gamma1,
     _gp_odd,
     _Jet,
     _log_chain,
     closed_form_C4,
-    constant_Cn,
     constants_bundle,
     euler_product_G,
-    poly_P,
     predict_S,
     predict_T,
     predict_counts,
@@ -32,7 +33,7 @@ DIGITS = 30
 
 
 def fixed_bits(digits: int) -> int:
-    """The fixed-point width W that poly_P works at for this many digits."""
+    """The fixed-point width W that the line pass works at for this many digits."""
     with workdps(digits + _GUARD_DIGITS):
         return mp.prec + _FIXED_GUARD_BITS
 
@@ -260,18 +261,18 @@ class TestConstants:
 
     def test_dual_line_agreement(self):
         for k in (1, 2, 3):
-            constant_Cn(k, PLIM, DIGITS)  # raises on failure
+            constants_bundle(4 * k, PLIM, DIGITS)  # raises on failure
 
     @pytest.mark.parametrize("prime_limit", [2, 3])
     def test_tiny_prime_limits_match_mpf_product(self, prime_limit):
-        # the expanded form's loop is covered by constant_Cn's own check,
-        # which raises if that loop drops or repeats the prime 3
+        # the line pass is covered by the bundle's own twin check, which
+        # raises if that pass drops or repeats the prime 3
         for k in (1, 2, 3):
-            c = constant_Cn(k, prime_limit, DIGITS)
+            c = constants_bundle(4 * k, prime_limit, DIGITS).C_script
             g = euler_product_mpf(1, 2 * k - 1, k, DIGITS, prime_limit)
             with workdps(50):
                 want = mpf(3) / (16 * k * (2 * k - 1)) * g
-                assert abs(c.value - want) / abs(want) < mpf(10) ** -(DIGITS + 3), k
+                assert abs(c - want) / abs(want) < mpf(10) ** -(DIGITS + 3), k
 
     @pytest.mark.parametrize("n, plim", [(4, 2), (4, 50), (4, 99), (4, 200), (4, 372), (8, 2), (12, 2)])
     def test_small_prime_limits_consistent(self, n, plim):
@@ -300,18 +301,53 @@ class TestConstants:
         with pytest.raises(ValueError):
             constants_bundle(6, PLIM, DIGITS)
 
+    @pytest.mark.parametrize("target", ["_g2", "euler_product_G"])
+    def test_twin_reads_neither_g2_nor_euler_product_G(self, monkeypatch, target):
+        # scaling either by 1 + 1e-6 moves C_script but not its expanded
+        # twin, so the consistency check must fire, in the library and as
+        # the CLI's exit 4
+        orig = getattr(asymptotics, target)
+        scale = 1 + mpf("1e-6")
+
+        def patched(*args):
+            v = orig(*args)
+            return v * scale if target == "_g2" else dataclasses.replace(v, value=v.value * scale)
+
+        constants_bundle.cache_clear()
+        monkeypatch.setattr(asymptotics, target, patched)
+        try:
+            for k in (1, 2, 3):
+                with pytest.raises(InternalConsistencyError, match="expanded"):
+                    constants_bundle(4 * k, 3000, 30)
+            assert cli.main(["constants", "--n", "8", "--prime-limit", "3000"]) == 4
+        finally:
+            constants_bundle.cache_clear()
+
+    def test_one_line_pass_and_memo(self, monkeypatch):
+        # euler_product_G and the line pass sieve once each; repeated calls
+        # with the CLI's arguments are memo hits
+        calls = []
+        orig = asymptotics.primes_upto
+        monkeypatch.setattr(asymptotics, "primes_upto",
+                            lambda limit: calls.append(limit) or orig(limit))
+        constants_bundle.cache_clear()
+        assert cli.main(["constants", "--n", "4", "--prime-limit", "3000"]) == 0
+        assert calls == [3000, 3000]
+        first = constants_bundle(4, prime_limit=3000, digits=30)
+        assert constants_bundle(4, prime_limit=3000, digits=30) is first
+        assert calls == [3000, 3000]
+
 
 class TestPolyP:
     def test_leading_coefficient_matches_constant(self):
         for k in (1, 2, 3):
-            p = poly_P(k, DIGITS, PLIM)
-            c = constant_Cn(k, PLIM, DIGITS)
+            b = constants_bundle(4 * k, PLIM, DIGITS)
             with workdps(40):
-                assert abs(p.a2 - c.value) / abs(c.value) < mpf(10) ** -25, k
+                assert abs(b.poly.a2 - b.C_script) / abs(b.C_script) < mpf(10) ** -25, k
 
     def test_matches_finite_difference_oracle(self):
         for k in (1, 2, 3):
-            p = poly_P(k, DIGITS, PLIM)
+            p = constants_bundle(4 * k, PLIM, DIGITS).poly
             a0, a1, a2, err = _poly_fd_oracle(k, DIGITS, PLIM)
             with workdps(40):
                 assert err < mpf(10) ** -10, k
@@ -347,7 +383,7 @@ class TestPolyP:
         for digits in (30, 60, 120) for plim in (2, 3, 3000)])
     def test_matches_mpf_jet_pass(self, prime_limit, digits):
         for k in (1, 2, 3):
-            p = poly_P(k, digits, prime_limit)
+            p = constants_bundle(4 * k, prime_limit, digits).poly
             want = poly_P_mpf(k, digits, prime_limit)
             with workdps(digits + 20):
                 for got, ref in zip((p.a0, p.a1, p.a2), want):
@@ -369,14 +405,14 @@ class TestPolyP:
 
     def test_small_prime_limit(self):
         with pytest.raises(ValueError):
-            poly_P(1, DIGITS, 1)
-        p = poly_P(1, DIGITS, 2)
+            constants_bundle(4, 1, DIGITS)
+        p = constants_bundle(4, 2, DIGITS).poly
         _, a1, _, err = _poly_fd_oracle(1, DIGITS, 2)
         with workdps(40):
             assert abs(p.a1 - a1) <= err
 
     def test_polynomial_evaluation(self):
-        p = poly_P(1, DIGITS, PLIM)
+        p = constants_bundle(4, PLIM, DIGITS).poly
         with workdps(40):
             t = mpf("1.7")
             assert abs(p(t) - (p.a2 * t**2 + p.a1 * t + p.a0)) == 0
@@ -392,7 +428,7 @@ class TestPredictors:
             assert abs(r - mpf(1) / 4) < mpf(10) ** -30
 
     def test_full_at_psi_zero(self):
-        poly = poly_P(1, DIGITS, PLIM)
+        poly = constants_bundle(4, PLIM, DIGITS).poly
         with workdps(40):
             x = mpf(50)
             got = predict_S(x, x**3, 1, "full", prime_limit=PLIM)
