@@ -244,17 +244,9 @@ def mobius_sieve(limit: int) -> list[int]:
     """mu(d) for 0 <= d <= limit (entry 0 is unused and set to 0)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    mu = [0] * (limit + 1)
-    if limit >= 1:
-        mu[1] = 1
-    for d in range(2, limit + 1):
-        p = spf[d]
-        rest = d // p
-        mu[d] = 0 if rest % p == 0 else -mu[rest]
+    mu = [1] * (limit + 1)
+    mu[0] = 0
+    for p in primes_upto(limit):
+        mu[p::p] = [-v for v in mu[p::p]]
+        mu[p * p :: p * p] = [0] * (limit // (p * p))
     return mu

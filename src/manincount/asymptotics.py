@@ -97,7 +97,6 @@ class PolynomialP:
     a0: mpf
     a1: mpf
     a2: mpf
-    k: int
 
     def __call__(self, t) -> mpf:
         return self.a2 * t**2 + self.a1 * t + self.a0
@@ -112,17 +111,14 @@ class PolynomialP:
 @dataclass(frozen=True)
 class ConstantsBundle:
     """The constants and the residue quadratic P(t) (poly) for one dimension
-    n = 4k, with provenance."""
+    n = 4k, with the prefactor C*/C, the tail bound and the notes."""
 
     n: int
     C_script: mpf
     C_star: mpf
     C_proj: mpf
     poly: PolynomialP
-    bernoulli_used: Fraction
     prefactor: Fraction
-    prime_limit: int
-    digits: int
     tail_bound: mpf
     notes: tuple[str, ...] = ()
 
@@ -549,7 +545,7 @@ def constants_bundle(
         for a in (1, mpf(2) / 3, mpf(1) / 3):
             gk = gk * _Jet(mpf(1), a * g0, -a * a * g1)
         gk = mpf(27) / 2 * gk / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))
-        poly = PolynomialP(a0=+gk.c2, a1=+gk.c1, a2=+(gk.c0 / 2), k=k)
+        poly = PolynomialP(a0=+gk.c2, a1=+gk.c1, a2=+(gk.c0 / 2))
 
         znm1 = +mp.zeta(n - 1)
         c_star = +(mpf(pref.numerator) / pref.denominator * c_script)
@@ -560,10 +556,7 @@ def constants_bundle(
         C_star=c_star,
         C_proj=c_proj,
         poly=poly,
-        bernoulli_used=b,
         prefactor=pref,
-        prime_limit=prime_limit,
-        digits=digits,
         tail_bound=g.tail_bound,
         notes=tuple(notes),
     )

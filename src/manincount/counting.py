@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
-from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
 
 from .arith import mobius_sieve, primes_upto, rn_exact_table, rn_star_prime_powers
@@ -329,6 +328,8 @@ def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) 
     procs = min(workers, len(jobs))
     if procs <= 1:
         return sum(fn(job) for job in jobs)
+    from multiprocessing import get_context
+
     with get_context("fork").Pool(procs) as pool:
         return sum(pool.map(fn, jobs, chunksize=1))
 

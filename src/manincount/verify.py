@@ -1,9 +1,12 @@
 """Verification suites: every library-level invariant as a runnable check.
 
-Each suite returns a list of CheckResult and stops at the first failure,
-carrying the failing case in the detail field.  The command line front
-end serializes these; the test suite reuses the same functions so the
-CLI and pytest agree on what "verified" means.
+Each suite is a generator that yields one CheckResult per check, in a
+fixed order, with the failing case in the detail field of a failed check.
+Every suite takes (budget, seed, workers) and reads only what it needs.
+``run_suite`` is the one consumer: it collects the checks of one suite
+(or of all of them) and stops at the first failed check.  The command
+line front end serializes its results, and the tests read suites through
+it too, so the CLI and pytest agree on what "verified" means.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, floor, isqrt
+from typing import Iterator
 
 from mpmath import mp, mpf, workdps
 
@@ -37,11 +41,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") -> bool:
-    results.append(CheckResult(name, ok, detail))
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -138,32 +137,29 @@ def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mp
 # suites
 
 
-def suite_identities(budget: str = "quick", workers: int = 1) -> list[CheckResult]:
+def suite_identities(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
     """The affine decomposition N*_4(B) = 16 (S(B, B^2) - T(B)) for every B."""
-    out: list[CheckResult] = []
     bmax = 500 if budget == "quick" else 10_000
     S, T, A = counting.identity_scan(bmax)
     for B in range(1, bmax + 1):
         if A[B] != 16 * (S[B] - T[B]):
-            _check(out, "affine-identity", False,
-                   f"B={B}: A={A[B]}, 16(S-T)={16 * (S[B] - T[B])}")
-            return out
-    _check(out, "affine-identity", True, f"all B <= {bmax}")
+            yield CheckResult("affine-identity", False,
+                              f"B={B}: A={A[B]}, 16(S-T)={16 * (S[B] - T[B])}")
+            break
+    else:
+        yield CheckResult("affine-identity", True, f"all B <= {bmax}")
     # min(999, bmax) adds B = 999 at full and repeats bmax at quick
     samples = sorted({1, 2, 3, 5, 17, 100, 211, min(999, bmax), bmax // 7 + 1, bmax // 2, bmax})
     for B in samples:
         okS = S[B] == counting.s_sum(B, B * B, 1, workers=workers)
         okT = T[B] == counting.t_sum(B, 1, workers=workers)
         okA = A[B] == counting.count_affine_exact(B, 4, workers=workers)
-        if not _check(out, f"scan-vs-api-B{B}", okS and okT and okA,
-                      f"S ok={okS} T ok={okT} A ok={okA}"):
-            return out
-    return out
+        yield CheckResult(f"scan-vs-api-B{B}", okS and okT and okA,
+                          f"S ok={okS} T ok={okT} A ok={okA}")
 
 
-def suite_oracles(budget: str = "quick", workers: int = 1) -> list[CheckResult]:
+def suite_oracles(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
     """Brute-force counters against the exact ones, and the r-function routes."""
-    out: list[CheckResult] = []
     b_aff = 50 if budget == "quick" else 200
     b_proj = 64 if budget == "quick" else 512
     d_r4 = 2000 if budget == "quick" else 10_000
@@ -175,45 +171,47 @@ def suite_oracles(budget: str = "quick", workers: int = 1) -> list[CheckResult]:
             a = counting.count_affine_exact(B, n, workers=workers)
             b = counting.count_affine_bruteforce(B, n)
             if a != b:
-                _check(out, f"affine-oracle-n{n}", False, f"B={B}: exact={a} brute={b}")
-                return out
-        _check(out, f"affine-oracle-n{n}", True, f"all B <= {b_aff}")
+                yield CheckResult(f"affine-oracle-n{n}", False, f"B={B}: exact={a} brute={b}")
+                break
+        else:
+            yield CheckResult(f"affine-oracle-n{n}", True, f"all B <= {b_aff}")
 
     for B in range(1, b_proj + 1):
         a = counting.count_projective(B, 4, workers=workers)
         b = counting.count_projective_bruteforce(B, 4)
         if a != b:
-            _check(out, "projective-oracle-n4", False, f"B={B}: exact={a} brute={b}")
-            return out
-    _check(out, "projective-oracle-n4", True, f"all B <= {b_proj}")
+            yield CheckResult("projective-oracle-n4", False, f"B={B}: exact={a} brute={b}")
+            break
+    else:
+        yield CheckResult("projective-oracle-n4", True, f"all B <= {b_proj}")
 
     table4 = arith.rn_exact_table(4, d_r4)
     for d in range(1, d_r4 + 1):
         r4 = 8 * arith.rn_star(d)
         if r4 != table4[d]:
-            _check(out, "r4-oracle", False, f"d={d}: r4={r4} table={table4[d]}")
-            return out
-    _check(out, "r4-oracle", True, f"all d <= {d_r4}")
+            yield CheckResult("r4-oracle", False, f"d={d}: r4={r4} table={table4[d]}")
+            break
+    else:
+        yield CheckResult("r4-oracle", True, f"all d <= {d_r4}")
 
     for n in (8, 12):
         table = arith.rn_exact_table(n, d_rn)
         for d in range(0, d_rn + 1):
             ref = rn_lattice_oracle(n, d)
             if table[d] != ref:
-                _check(out, f"rn-table-oracle-n{n}", False,
-                       f"d={d}: table={table[d]} lattice={ref}")
-                return out
-        _check(out, f"rn-table-oracle-n{n}", True, f"all d <= {d_rn}")
+                yield CheckResult(f"rn-table-oracle-n{n}", False,
+                                  f"d={d}: table={table[d]} lattice={ref}")
+                break
+        else:
+            yield CheckResult(f"rn-table-oracle-n{n}", True, f"all d <= {d_rn}")
 
     r8_2 = arith.rn_star(2, 2)
-    _check(out, "r8-prime-power", r8_2 == 7 and arith.rn_exact_table(8, 2)[2] == 16 * 7,
-           f"rn_star(2, k=2)={r8_2}")
-    return out
+    yield CheckResult("r8-prime-power", r8_2 == 7 and arith.rn_exact_table(8, 2)[2] == 16 * 7,
+                      f"rn_star(2, k=2)={r8_2}")
 
 
-def suite_constants(budget: str = "quick") -> list[CheckResult]:
+def suite_constants(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
     """Cross-route, dual-line, leading-coefficient and P(t)-derivative identities."""
-    out: list[CheckResult] = []
     plim = 10_000 if budget == "quick" else 100_000
     fd_ks = (1,) if budget == "quick" else (1, 2, 3)
     plim_cross = 100_000 if budget == "quick" else 1_000_000
@@ -224,55 +222,48 @@ def suite_constants(budget: str = "quick") -> list[CheckResult]:
         c4 = mpf(3) / 16 * g11.value
         excess = c4 - closed
         bound = c4 * g11.tail_bound
-        if not _check(out, "cross-route-C4", 0 < excess <= bound,
-                      f"(3/16)G(1,1) - closed form={mp.nstr(excess, 6)} "
-                      f"tail bound={mp.nstr(bound, 6)}"):
-            return out
+        yield CheckResult("cross-route-C4", 0 < excess <= bound,
+                          f"(3/16)G(1,1) - closed form={mp.nstr(excess, 6)} "
+                          f"tail bound={mp.nstr(bound, 6)}")
 
         for k in (1, 2, 3):
             try:
                 bundle = asymptotics.constants_bundle(4 * k, prime_limit=plim, digits=digits)
             except asymptotics.InternalConsistencyError as exc:
-                _check(out, f"dual-line-k{k}", False, str(exc))
-                return out
+                yield CheckResult(f"dual-line-k{k}", False, str(exc))
+                continue
             c, p = bundle.C_script, bundle.poly
             rel = abs(p.a2 - c) / abs(c)
-            if not _check(out, f"leading-coeff-k{k}", rel < mpf(10) ** -25,
-                          f"a2 vs C rel={mp.nstr(rel, 6)}"):
-                return out
+            yield CheckResult(f"leading-coeff-k{k}", rel < mpf(10) ** -25,
+                              f"a2 vs C rel={mp.nstr(rel, 6)}")
             if k in fd_ks:
                 try:
                     a0, a1, a2, err = _poly_fd_oracle(k, digits, plim)
                 except asymptotics.NumericalError as exc:
-                    _check(out, f"poly-derivatives-k{k}", False, str(exc))
-                    return out
-                gap1, gap0 = abs(p.a1 - a1), abs(p.a0 - a0)
-                rel2 = abs(p.a2 - a2) / abs(a2)
-                if not _check(out, f"poly-derivatives-k{k}",
-                              gap1 <= err and gap0 <= err and rel2 < mpf(10) ** -25,
-                              f"|a1-fd|={mp.nstr(gap1, 3)} |a0-fd|={mp.nstr(gap0, 3)} "
-                              f"fd_error={mp.nstr(err, 3)} a2 rel={mp.nstr(rel2, 3)}"):
-                    return out
-            _check(out, f"dual-line-k{k}", True, f"C_script={mp.nstr(c, 12)}")
+                    yield CheckResult(f"poly-derivatives-k{k}", False, str(exc))
+                else:
+                    gap1, gap0 = abs(p.a1 - a1), abs(p.a0 - a0)
+                    rel2 = abs(p.a2 - a2) / abs(a2)
+                    yield CheckResult(f"poly-derivatives-k{k}",
+                                      gap1 <= err and gap0 <= err and rel2 < mpf(10) ** -25,
+                                      f"|a1-fd|={mp.nstr(gap1, 3)} |a0-fd|={mp.nstr(gap0, 3)} "
+                                      f"fd_error={mp.nstr(err, 3)} a2 rel={mp.nstr(rel2, 3)}")
+            yield CheckResult(f"dual-line-k{k}", True, f"C_script={mp.nstr(c, 12)}")
 
         bundle = asymptotics.constants_bundle(4, prime_limit=plim, digits=digits)
-        if not _check(out, "prefactor-16/3", bundle.prefactor == Fraction(16, 3),
-                      f"got {bundle.prefactor}"):
-            return out
+        yield CheckResult("prefactor-16/3", bundle.prefactor == Fraction(16, 3),
+                          f"got {bundle.prefactor}")
 
         for (s, w, k) in ((1, 1, 1), (1, 3, 2)):
             lo = asymptotics.euler_product_G(s, w, k, plim // 10, digits)
             hi = asymptotics.euler_product_G(s, w, k, plim // 5, digits)
             drift = abs(lo.value - hi.value) / abs(lo.value)
-            if not _check(out, f"tail-honesty-{s}-{w}-{k}", drift <= lo.tail_bound,
-                          f"drift={mp.nstr(drift, 6)} tail={mp.nstr(lo.tail_bound, 6)}"):
-                return out
-    return out
+            yield CheckResult(f"tail-honesty-{s}-{w}-{k}", drift <= lo.tail_bound,
+                              f"drift={mp.nstr(drift, 6)} tail={mp.nstr(lo.tail_bound, 6)}")
 
 
-def suite_bracketing(seed: int = 0) -> list[CheckResult]:
+def suite_bracketing(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
     """Second-difference bracketing of S by the mean value M, exact rationals."""
-    out: list[CheckResult] = []
     trials = 200
     rng = random.Random(seed)
     for i in range(trials):
@@ -285,46 +276,40 @@ def suite_bracketing(seed: int = 0) -> list[CheckResult]:
         mid = H * J * counting.s_sum(floor(X), floor(Y))
         high = counting.apply_D(counting.mean_value_M, X, X + H, Y, Y + J)
         if not low <= mid <= high:
-            _check(out, "bracketing", False,
-                   f"case {i}: X={X} Y={Y} H={H} J={J}: {low} <= {mid} <= {high} fails")
-            return out
-    _check(out, "bracketing", True, f"{trials} seeded cases (seed={seed})")
-    return out
+            yield CheckResult("bracketing", False,
+                              f"case {i}: X={X} Y={Y} H={H} J={J}: {low} <= {mid} <= {high} fails")
+            break
+    else:
+        yield CheckResult("bracketing", True, f"{trials} seeded cases (seed={seed})")
 
 
-def suite_hessian(budget: str = "quick") -> list[CheckResult]:
+def suite_hessian(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
     """Closed-form rank counts against a Bareiss enumeration of the whole
     box, and the z = 0 rank collapse."""
-    out: list[CheckResult] = []
     bmax = 2 if budget == "quick" else 3
     n = 4
     for B in range(1, bmax + 1):
         enumerated: dict[int, int] = {}
-        worst = 0
+        worst, bad = 0, None
         for x, *y, z in product(range(-B, B + 1), repeat=n + 2):
             r = hessian.rank_over_rationals(hessian.hessian_at(x, y, z))
             enumerated[r] = enumerated.get(r, 0) + 1
             if z == 0:
                 worst = max(worst, r)
-                if r > 3:
-                    _check(out, f"z0-rank-B{B}", False, f"x={x} y={tuple(y)}: rank {r} > 3")
-                    return out
-        _check(out, f"z0-rank-B{B}", True, f"max rank {worst} over z=0 slice")
+                if r > 3 and bad is None:
+                    bad = f"x={x} y={tuple(y)}: rank {r} > 3"
+        yield CheckResult(f"z0-rank-B{B}", bad is None, bad or f"max rank {worst} over z=0 slice")
 
         prof = hessian.rank_profile(B, n)
         enumerated = dict(sorted(enumerated.items()))
-        if not _check(out, f"rank-profile-B{B}", prof == enumerated,
-                      f"closed form {prof}, enumeration {enumerated}"):
-            return out
+        yield CheckResult(f"rank-profile-B{B}", prof == enumerated,
+                          f"closed form {prof}, enumeration {enumerated}")
         total = sum(prof.values())
-        if not _check(out, f"rank-partition-B{B}", total == (2 * B + 1) ** (n + 2),
-                      f"sum {total}"):
-            return out
+        yield CheckResult(f"rank-partition-B{B}", total == (2 * B + 1) ** (n + 2),
+                          f"sum {total}")
         cum3 = sum(c for r, c in prof.items() if r <= 3)
-        if not _check(out, f"rank-le3-growth-B{B}", cum3 >= (2 * B + 1) ** (n + 1),
-                      f"rank<=3 count {cum3} vs {(2 * B + 1) ** (n + 1)}"):
-            return out
-    return out
+        yield CheckResult(f"rank-le3-growth-B{B}", cum3 >= (2 * B + 1) ** (n + 1),
+                          f"rank<=3 count {cum3} vs {(2 * B + 1) ** (n + 1)}")
 
 
 BUDGETS = ("quick", "full")
@@ -340,22 +325,16 @@ SUITES = {
 
 def run_suite(name: str, budget: str = "quick", seed: int = 0,
               workers: int = 1) -> list[CheckResult]:
-    """Run one named suite (or 'all') at budget 'quick' or 'full'; results
-    stop at the first failure."""
+    """Run one named suite (or 'all', in SUITES order) at budget 'quick' or
+    'full'; the results stop at the first failed check."""
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r}; expected one of {BUDGETS}")
-    if name == "all":
-        results: list[CheckResult] = []
-        for key in SUITES:
-            results.extend(run_suite(key, budget, seed, workers))
-            if results and not results[-1].ok:
-                return results
-        return results
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    fn = SUITES[name]
-    if name == "bracketing":
-        return fn(seed=seed)
-    if name in ("identities", "oracles"):
-        return fn(budget, workers=workers)
-    return fn(budget)
+    results: list[CheckResult] = []
+    for key in SUITES if name == "all" else (name,):
+        for res in SUITES[key](budget, seed, workers):
+            results.append(res)
+            if not res.ok:
+                return results
+    return results

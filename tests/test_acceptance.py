@@ -41,13 +41,13 @@ def trend_csvs():
 @pytest.fixture(scope="module")
 def identity_results():
     """The full identities suite at workers=1 (shared with #10)."""
-    return verify.suite_identities("full", workers=1)
+    return verify.run_suite("identities", "full", workers=1)
 
 
 @pytest.fixture(scope="module")
 def oracle_results():
     """One full oracles suite run, shared by #02 and #03."""
-    return verify.suite_oracles("full")
+    return verify.run_suite("oracles", "full")
 
 
 def named_checks(results, names):
@@ -139,7 +139,7 @@ def test_criterion_06_prefactor_and_dual_line():
 
 
 def test_criterion_07_bracketing():
-    results = verify.suite_bracketing(seed=7)
+    results = verify.run_suite("bracketing", seed=7)
     ok = all(r.ok for r in results)
     report(7, ok, "200 seeded rational boxes (X<=50, Y<=200): "
                   "D(M) lower <= HJ S <= D(M) upper in exact arithmetic")
@@ -189,7 +189,7 @@ def test_criterion_08_missing_baseline_fails(trend_csvs, monkeypatch, tmp_path, 
 
 
 def test_criterion_09_hessian_audit():
-    results = verify.suite_hessian(budget="full")
+    results = verify.run_suite("hessian", "full")
     ok = all(r.ok for r in results)
     report(9, ok, "z=0 forces rank <= 3 over the B<=3 box (n=4); the closed-form "
                   "rank profile equals the Bareiss enumeration and its rank<=3 counts "
@@ -207,7 +207,7 @@ def test_criterion_10_determinism(trend_csvs, identity_results):
         return "\n".join(f"{r.ok} {r.name} {r.detail}" for r in results)
 
     ref = identity_report(identity_results)
-    ident_ok = all(identity_report(verify.suite_identities("full", workers=w)) == ref
+    ident_ok = all(identity_report(verify.run_suite("identities", "full", workers=w)) == ref
                    for w in (4, 8))
     report(10, scans_ok and ident_ok,
            "trend scans and the full identity report are byte-identical at "

@@ -242,11 +242,12 @@ class TestConvolveExact:
             _convolve_exact([1, 1], [0, -2**70], 3)
 
 
-def test_import_does_not_load_numpy():
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing"])
+def test_import_does_not_load(module):
     src = str(Path(manincount.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, manincount; print('numpy' in sys.modules)"
+    code = f"import sys, manincount; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"

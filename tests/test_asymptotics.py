@@ -283,7 +283,6 @@ class TestConstants:
     def test_bundle_n4(self):
         b = constants_bundle(4, PLIM, DIGITS)
         assert b.prefactor == Fraction(16, 3)
-        assert b.bernoulli_used == Fraction(1, 6)
         with workdps(40):
             assert abs(b.C_star - Fraction(16, 3) * b.C_script) < mpf(10) ** -30
             assert abs(b.C_proj - b.C_star / (9 * mp.zeta(3))) < mpf(10) ** -25
@@ -291,7 +290,6 @@ class TestConstants:
 
     def test_bundle_n8_uses_abs_bernoulli(self):
         b = constants_bundle(8, PLIM, DIGITS)
-        assert b.bernoulli_used == Fraction(-1, 30)
         assert b.prefactor == Fraction(2 * 8) / (Fraction(1, 30) * 15) * Fraction(8 * 6, 3 * 20)
         assert b.prefactor == Fraction(128, 5)
         assert any("negative" in note for note in b.notes)

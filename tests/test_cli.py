@@ -145,6 +145,25 @@ class TestVerify:
         assert "poly-derivatives-k1" in [r.name for r in constants]
         assert "rank-profile-B2" in [r.name for r in hessian]
 
+    def test_all_stops_at_first_failed_check(self, capsys, monkeypatch):
+        from manincount import counting
+
+        true_count = counting.count_affine_bruteforce
+
+        def off_by_one_at_7(B, n):
+            return true_count(B, n) + (B == 7 and n == 4)
+
+        monkeypatch.setattr(counting, "count_affine_bruteforce", off_by_one_at_7)
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--budget", "quick")
+        assert code == 1
+        *checks, last = out.strip().splitlines()
+        exact = counting.count_affine_exact(7, 4)
+        assert checks[-1] == f"FAIL affine-oracle-n4: B=7: exact={exact} brute={exact + 1}"
+        assert all(line.startswith("ok ") for line in checks[:-1])
+        summary = json.loads(last)
+        assert summary["failed"] == 1 and summary["checks"] == len(checks)
+        assert summary["failing_case"]["name"] == "affine-oracle-n4"
+
     @pytest.mark.parametrize("budget", ["Quick", "ful", ""])
     def test_unknown_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="unknown budget"):

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from fractions import Fraction
 from math import floor, isqrt
@@ -339,7 +340,7 @@ class TestRunBlocks:
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(counting, "get_context", refuse)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
     def test_three_blocks_worker_invariant(self):
         x = 2 * 2**15 + 7
