@@ -5,14 +5,15 @@ with independent brute-force oracles.
 All counters are exact; divisor-range conditions are integer
 cross-multiplications (d*B >= m**3 and the like), never floats.  The
 fast paths read every n through its prime-power tables, which one
-segmented sieve builds block by block, and walk the divisors of n**3 on
-them.  The folded walk answers every subtree whose rest (the part of n
-below a node) is at most _LEAF_MAX from a leaf of sorted divisors and
-prefix sums, kept in a memo that lives for one block worker's call, so
-memory stays bounded.  The heavy sums cut the outer range into fixed
-blocks of _SIEVE_BLOCK values, whatever the worker count, and start a
-process pool only when there are two blocks or more; exact integer
-addition makes the result independent of the worker count.
+segmented sieve builds block by block, _SIEVE_SEGMENT values at a time,
+and walk the divisors of n**3 on them.  The folded walk answers every
+subtree whose rest (the part of n below a node) is at most _LEAF_MAX
+from a leaf of sorted divisors and prefix sums, kept in a memo that
+lives for one block worker's call, so memory stays bounded.  The heavy
+sums cut the outer range into fixed blocks of _SIEVE_BLOCK values,
+whatever the worker count, and start a process pool only for two
+blocks or more; exact integer addition makes the result independent of
+the worker count.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ def introot(x: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 # prime-power tables of a contiguous block of integers
 
-# Values of m sieved at once.  A constant, so peak memory stays flat in x
-# and does not depend on the worker count.
+# Values of m per pool job (the scope of the shared entries and of the leaf
+# memo), sieved _SIEVE_SEGMENT at a time.  Constants, so peak memory stays
+# flat in x and does not depend on the worker count.
 _SIEVE_BLOCK = 1 << 15
+_SIEVE_SEGMENT = 1 << 12
 
 # One prime power p^e of m, as the walks over the divisors of m**3 read it:
 # (p^0..p^(3e), r_{4k}*(p^0)..r_{4k}*(p^(3e)), p^(3e), their r* sum).
@@ -107,48 +110,51 @@ def _entry(p: int, e: int, k: int) -> Entry:
 
 
 def _block_tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]:
-    """(m, tables of m) for 1 <= lo <= m < hi, by a segmented sieve over
-    the block; the tables list one entry per prime power of m, largest
-    prime first.
+    """(m, tables of m) for 1 <= lo <= m < hi, largest prime first, by a
+    segmented sieve of the block, _SIEVE_SEGMENT values at a time.
 
-    After dividing out every prime <= sqrt(hi-1) the residual cofactor is
-    1 or prime, so no per-element primality work is needed.  The m of the
-    block share one entry per (p, e) of the sieved primes, and one per
-    cofactor prime below the block length, so the shared dict holds at
-    most one entry per prime below it and per sieved (p, e); a larger
-    cofactor occurs at most once in the block and its entry is built as
-    its m is yielded.  Each m's list is dropped from the block once
-    yielded, so the walk releases it when done.
+    Stride passes strip each prime p <= sqrt(hi-1): over the multiples of
+    p they divide the residue by p and append p's entry, over those of
+    p^2, p^3, ... divide again and replace it; the residual cofactor is
+    then 1 or prime.  The m of the block share one entry per sieved p^e and
+    one per cofactor prime below the block length (a larger one occurs at
+    most once).  Only one segment's per-m lists exist at a time, and each
+    leaves the segment once yielded, so the walk releases it.
     """
-    n = hi - lo
-    rem = array("q", range(lo, hi))  # 8 bytes a value, not a list of ints
-    tabs: list[list[Entry] | None] = [[] for _ in range(n)]
-    shared: dict[tuple[int, int], Entry] = {}
-    for p in primes_upto(isqrt(hi - 1)):
-        for i in range(-lo % p, n, p):
-            e = 0
-            v = rem[i]
-            while v % p == 0:
-                v //= p
+    powers: dict[int, list[Entry]] = {}  # sieved p -> entries of p^1, p^2, ...
+    cofactors: dict[int, Entry] = {}
+    primes = primes_upto(isqrt(hi - 1))
+    for a in range(lo, hi, _SIEVE_SEGMENT):
+        n = min(a + _SIEVE_SEGMENT, hi) - a
+        rem = list(range(a, a + n))
+        tabs: list[list[Entry] | None] = [[] for _ in range(n)]
+        for p in primes:
+            ents = powers.setdefault(p, [])
+            e, q = 0, p
+            while (i0 := -a % q) < n:
+                if e == len(ents):
+                    ents.append(_entry(p, e + 1, k))
+                ent = ents[e]
+                if e:
+                    for i in range(i0, n, q):
+                        rem[i] //= p
+                        tabs[i][-1] = ent
+                else:
+                    for i in range(i0, n, q):
+                        rem[i] //= p
+                        tabs[i].append(ent)
                 e += 1
-            rem[i] = v
-            ent = shared.get((p, e))
-            if ent is None:
-                ent = shared[p, e] = _entry(p, e, k)
-            tabs[i].append(ent)
-    for i, q in enumerate(rem):
-        t = tabs[i]
-        tabs[i] = None
-        if q > 1:
-            if q < n:  # q recurs in the block: share its entry
-                ent = shared.get((q, 1))
-                if ent is None:
-                    ent = shared[q, 1] = _entry(q, 1, k)
-            else:
-                ent = _entry(q, 1, k)
-            t.append(ent)
-        t.reverse()  # largest prime first
-        yield lo + i, t
+                q *= p
+        for i, q in enumerate(rem):
+            t = tabs[i]
+            tabs[i] = None
+            if q > 1:
+                ent = cofactors.get(q) or _entry(q, 1, k)
+                if q < hi - lo:  # q recurs in the block: share its entry
+                    cofactors[q] = ent
+                t.append(ent)
+            t.reverse()  # largest prime first
+            yield a + i, t
 
 
 def _tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]:

@@ -1,5 +1,6 @@
 import multiprocessing
 import random
+import tracemalloc
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -10,6 +11,7 @@ from manincount.arith import factorize, rn_star, rn_star_prime_powers
 from manincount.counting import (
     _LEAF_MAX,
     _SIEVE_BLOCK,
+    _SIEVE_SEGMENT,
     _block_tables,
     _cube_divisors,
     _rstar_sum,
@@ -243,28 +245,60 @@ class TestTables:
                             401**3, 4 + 3 * 401 + 2 * 401**2 + 401**3)
         assert all(h is heads[0] for h in heads)
 
+    def test_cofactor_entries_shared_across_segments(self):
+        # 4099 is prime, above the sieved primes (<= 181) and below the block
+        # length, so the m = 4099 j of the block share one entry for it,
+        # although each lies in a different sub-segment
+        ms = [4099 * j for j in range(1, 8)]
+        assert len({(m - 1) // _SIEVE_SEGMENT for m in ms}) == len(ms)
+        tabs = dict(_block_tables(1, 2**15 + 1, 1))
+        heads = [tabs[m][0] for m in ms]
+        assert heads[0][0] == (1, 4099, 4099**2, 4099**3)
+        assert all(h is heads[0] for h in heads)
+
+    def test_block_sieve_memory(self):
+        # only one sub-segment's per-m lists exist at a time: a whole block
+        # of per-m lists peaked at about 3.4 MB traced
+        tracemalloc.start()
+        try:
+            for _, tab in _block_tables(1, 2**15 + 1, 1):
+                del tab
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
     def test_block_seams(self):
         # the counting sums start their blocks at 1 + j * 2**15, so 2**15 and
         # 2**16 each end one; sieved from 2**15 - 20, this range's own first
-        # block ends at 2**16 - 21, inside the second window
-        windows = {*range(2**15 - 20, 2**15 + 21), *range(2**16 - 20, 2**16 + 21)}
+        # block ends at 2**16 - 21, inside the second window.  Sieved from 1,
+        # the first block's sub-segments start at 1 + j * 2**12: 4096, 8192,
+        # 16384 and 32768 each end one (their top stride pass hits one
+        # index), and 6561 = 3**8 and 16807 = 7**5 take exponent passes deep
+        # inside one
+        block_seams = {*range(2**15 - 20, 2**15 + 21), *range(2**16 - 20, 2**16 + 21)}
+        segment_seams = {m for j in range(1, 2**15 // _SIEVE_SEGMENT)
+                         for m in range(1 + j * _SIEVE_SEGMENT - 20, 1 + j * _SIEVE_SEGMENT + 21)}
+        assert {4096, 8192, 16384} <= segment_seams and 32768 in block_seams
+        windows = block_seams | segment_seams | {6561, 16807}
         for k in (1, 2, 3):
-            checked = 0
-            for m, tab in _tables(min(windows), max(windows) + 1, k):
-                if m not in windows:
-                    continue
-                want = []
-                for p, e in sorted(factorize(m), reverse=True):
-                    rv = rn_star_prime_powers(p, 3 * e, k)
-                    want.append((tuple(p**j for j in range(3 * e + 1)), tuple(rv),
-                                 p ** (3 * e), sum(rv)))
-                assert tab == want, (m, k)
-                # entries are shared by the m of a block, so none may be mutable
-                for entry in tab:
-                    assert type(entry) is tuple
-                    assert type(entry[0]) is tuple and type(entry[1]) is tuple
-                checked += 1
-            assert checked == len(windows)
+            for start in (1, 2**15 - 20):
+                checked = 0
+                for m, tab in _tables(start, max(windows) + 1, k):
+                    if m not in windows:
+                        continue
+                    want = []
+                    for p, e in sorted(factorize(m), reverse=True):
+                        rv = rn_star_prime_powers(p, 3 * e, k)
+                        want.append((tuple(p**j for j in range(3 * e + 1)), tuple(rv),
+                                     p ** (3 * e), sum(rv)))
+                    assert tab == want, (m, k, start)
+                    # entries are shared by the m of a block, so none may be mutable
+                    for entry in tab:
+                        assert type(entry) is tuple
+                        assert type(entry[0]) is tuple and type(entry[1]) is tuple
+                    checked += 1
+                assert checked == sum(m >= start for m in windows)
 
 
 class TestIntroot:
