@@ -1,11 +1,12 @@
 """High-precision Euler products, the constants driving the point-count
 asymptotics, the residue polynomial P(t), and the main-term predictors.
 
-Everything runs through mpmath at a caller-chosen number of digits
-(30 minimum for constants work; double precision has no headroom for the
-dual-route identities).  Two passes run over the odd primes, both in exact
-integer fixed point: euler_product_G, and the line pass that carries G's
-odd part on the line w = (6k-2-s)/3 as a jet in s - 1.  Each factor is a
+The constants run through mpmath at a caller-chosen number of digits
+(30 minimum; double precision has no headroom for the dual-route
+identities), zbar and the main-term predictors at _DEFAULT_DIGITS.  Two
+passes run over the odd primes, both in exact integer fixed point:
+euler_product_G, and the line pass that carries G's odd part on the
+line w = (6k-2-s)/3 as a jet in s - 1.  Each factor is a
 Python int scaled by 2^W, W the working precision plus _FIXED_GUARD_BITS,
 the primes are multiplied in ascending order with one truncation per
 multiply, and the result becomes an mpf once.  So a given
@@ -113,7 +114,6 @@ class ConstantsBundle:
     """The constants and the residue quadratic P(t) (poly) for one dimension
     n = 4k, with the prefactor C*/C, the tail bound and the notes."""
 
-    n: int
     C_script: mpf
     C_star: mpf
     C_proj: mpf
@@ -123,15 +123,16 @@ class ConstantsBundle:
     notes: tuple[str, ...] = ()
 
 
-def zbar(sigma, digits: int = _DEFAULT_DIGITS) -> mpf:
+def zbar(sigma) -> mpf:
     """(sigma - 1) * zeta(sigma), analytic through sigma = 1.
 
-    Exactly 1 at sigma = 1.  Elsewhere zeta runs with the working precision
-    raised by the -mag(sigma - 1) bits it loses near its pole, so the
-    triple-pole cancellation in g_k(s) stays stable at points near s = 1
-    (the finite-difference route to P(t) in the verify suites).
+    Exactly 1 at sigma = 1.  Elsewhere zeta runs at _DEFAULT_DIGITS, with
+    the working precision raised by the -mag(sigma - 1) bits it loses near
+    its pole, so the triple-pole cancellation in g_k(s) stays stable at
+    points near s = 1 (the finite-difference route to P(t) in the verify
+    suites).
     """
-    with workdps(digits + _GUARD_DIGITS):
+    with workdps(_DEFAULT_DIGITS + _GUARD_DIGITS):
         sigma = mpf(sigma)
         x = sigma - 1
         if not x:
@@ -551,7 +552,6 @@ def constants_bundle(
         c_star = +(mpf(pref.numerator) / pref.denominator * c_script)
         c_proj = +(c_star / ((n - 1) ** 2 * znm1))
     return ConstantsBundle(
-        n=n,
         C_script=c_script,
         C_star=c_star,
         C_proj=c_proj,
@@ -566,15 +566,9 @@ def constants_bundle(
 # main-term predictors
 
 
-def predict_S(
-    x,
-    y,
-    k: int = 1,
-    mode: str = "full",
-    digits: int = _DEFAULT_DIGITS,
-    prime_limit: int = _DEFAULT_PRIME_LIMIT,
-) -> mpf:
-    """Main term of S(x, y) (no error term).
+def predict_S(x, y, k: int = 1, mode: str = "full") -> mpf:
+    """Main term of S(x, y) (no error term), from constants_bundle(4k) at
+    its default prime limit and digits.
 
     mode='full': x y^(2k-1) (4k P(psi) + (2k - 2/3) P'(psi) - (1/3) P''(psi))
     with psi = log x - (1/3) log y; mode='leading': 4k C_script x y^(2k-1) psi^2.
@@ -588,12 +582,12 @@ def predict_S(
     """
     if mode not in ("full", "leading"):
         raise ValueError(f"mode must be 'full' or 'leading', got {mode!r}")
-    with workdps(digits + _GUARD_DIGITS):
+    with workdps(_DEFAULT_DIGITS + _GUARD_DIGITS):
         x = mpf(x)
         y = mpf(y)
         if x < 10 or y < x or y > x**3:
             raise DomainError(f"need 10 <= x <= y <= x^3, got x={x}, y={y}")
-        poly = constants_bundle(4 * k, prime_limit=prime_limit, digits=digits).poly
+        poly = constants_bundle(4 * k).poly
         psi = mp.log(x) - mp.log(y) / 3
         scale = x * y ** (2 * k - 1)
         if mode == "leading":
@@ -606,33 +600,26 @@ def predict_S(
         return +(scale * main)
 
 
-def predict_T(
-    B,
-    digits: int = _DEFAULT_DIGITS,
-    prime_limit: int = _DEFAULT_PRIME_LIMIT,
-) -> mpf:
-    """Main term of T(B) at n = 4: (1/9) C_script B^3 (log B)^2.
+def predict_T(B) -> mpf:
+    """Main term of T(B) at n = 4: (1/9) C_script B^3 (log B)^2, from
+    constants_bundle(4) at its default prime limit and digits.
 
     Only n = 4 has one: the dyadic bracketing that produces the 1/9 has
     only been worked out for that case.
     """
-    with workdps(digits + _GUARD_DIGITS):
+    with workdps(_DEFAULT_DIGITS + _GUARD_DIGITS):
         B = mpf(B)
         if B < 10:
             raise DomainError(f"need B >= 10, got {B}")
-        poly = constants_bundle(4, prime_limit=prime_limit, digits=digits).poly
+        poly = constants_bundle(4).poly
         return +(poly.a2 / 9 * B**3 * mp.log(B) ** 2)
 
 
-def predict_counts(
-    B,
-    n: int = 4,
-    digits: int = _DEFAULT_DIGITS,
-    prime_limit: int = _DEFAULT_PRIME_LIMIT,
-) -> tuple[mpf, mpf]:
-    """(N*_n prediction, N_n prediction) = (C*_n B^(n-1) (log B)^2, C_n B (log B)^2)."""
-    bundle = constants_bundle(n, prime_limit=prime_limit, digits=digits)
-    with workdps(digits + _GUARD_DIGITS):
+def predict_counts(B, n: int = 4) -> tuple[mpf, mpf]:
+    """(N*_n prediction, N_n prediction) = (C*_n B^(n-1) (log B)^2, C_n B (log B)^2),
+    from constants_bundle(n) at its default prime limit and digits."""
+    bundle = constants_bundle(n)
+    with workdps(_DEFAULT_DIGITS + _GUARD_DIGITS):
         B = mpf(B)
         if B < 10:
             raise DomainError(f"need B >= 10, got {B}")

@@ -54,26 +54,17 @@ def _check_query(B: int, n: int) -> None:
 def introot(x: int, e: int) -> int:
     """floor(x**(1/e)) for x >= 0, e >= 1, by integer Newton iteration.
 
-    A float root seeds the estimate when it fits; the Newton descent and
-    the final adjustment enforce r**e <= x < (r+1)**e exactly.
+    Newton starts at 2^ceil(bits/e), above the root, and decreases
+    strictly while it stays above; the first step that does not decrease
+    leaves r with r**e <= x < (r+1)**e.
     """
     if x < 0 or e < 1:
         raise ValueError("need x >= 0 and e >= 1")
     if e == 1 or x < 2:
         return x
-    try:
-        r = max(1, int(round(x ** (1.0 / e))))
-    except OverflowError:
-        r = 1 << -(-x.bit_length() // e)  # 2^ceil(bits/e) lies above the root
-    while True:
-        nr = ((e - 1) * r + x // r ** (e - 1)) // e
-        if nr >= r:
-            break
+    r = 1 << -(-x.bit_length() // e)
+    while (nr := ((e - 1) * r + x // r ** (e - 1)) // e) < r:
         r = nr
-    while r**e > x:
-        r -= 1
-    while (r + 1) ** e <= x:
-        r += 1
     return r
 
 
@@ -182,10 +173,8 @@ def _tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]:
 # pre[bisect_right(ds, hi // dq)] - pre[bisect_left(ds, ceil(lo / dq))].
 # Leaves live in a memo that a block worker passes to every n of its
 # block; it is keyed by s**3 (so by s; k is fixed per call) and holds at
-# most one leaf per s <= _LEAF_MAX.  A rest's first sight only marks it
-# and is walked; its leaf is built when the rest recurs, so a call whose
-# rests never recur builds none.  _cube_divisors lists every divisor, for
-# callers that need each d.
+# most one leaf per s <= _LEAF_MAX, built at the rest's first sight.
+# _cube_divisors lists every divisor, for callers that need each d.
 
 
 def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
@@ -200,9 +189,7 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
     for j in range(1, r):
         rest *= tab[j][2]
     if rest <= _LEAF_CUBE:
-        leaf = memo.get(rest) or _sight(memo, rest, tab, 1)
-        if leaf:
-            return _leaf_node(tab[0], 1, lo, hi, leaf)
+        return _leaf_node(tab[0], 1, lo, hi, memo.get(rest) or _leaf(memo, rest, tab, 1))
     # the walk descends past the root: tail products of the tables
     full_tail = [1] * (r + 1)
     sum_tail = [1] * (r + 1)
@@ -218,14 +205,11 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
     # Called only on a node d <= hi whose subtree [d, d * full_tail[i]]
     # straddles a bound.  A leaf child has full_tail == 1, so it is always
     # skipped or folded and the walk never indexes past the last prime.
-    # The root has already sighted its rest, so only deeper nodes look
-    # theirs up.
+    # The root's rest is above _LEAF_CUBE, so only deeper nodes reach a leaf.
     def rec(i: int, d: int) -> int:
         ft = full_tail[i + 1]
-        if i and 1 < ft <= _LEAF_CUBE:
-            leaf = memo.get(ft) or _sight(memo, ft, tab, i + 1)
-            if leaf:
-                return _leaf_node(tab[i], d, lo, hi, leaf)
+        if 1 < ft <= _LEAF_CUBE:
+            return _leaf_node(tab[i], d, lo, hi, memo.get(ft) or _leaf(memo, ft, tab, i + 1))
         pws, rvs, _, _ = tab[i]
         st = sum_tail[i + 1]
         s = 0
@@ -245,13 +229,9 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
     return rec(0, 1)
 
 
-def _sight(memo: dict, cube: int, tab: Sequence[Entry], i: int) -> Leaf | None:
-    """Record one more sight of the rest held by tab[i:], whose cube is
-    ``cube`` and which has no leaf yet: the first sight only marks it
-    (None), the second builds and returns its leaf."""
-    if cube not in memo:
-        memo[cube] = None
-        return None
+def _leaf(memo: dict, cube: int, tab: Sequence[Entry], i: int) -> Leaf:
+    """Build, memoize and return the leaf of the rest held by tab[i:],
+    whose cube is ``cube``."""
     pairs = sorted(_cube_divisors(tab[i:], cube))
     ds = array("q", [d for d, _ in pairs])
     pre = list(accumulate((r for _, r in pairs), initial=0))

@@ -104,9 +104,8 @@ def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mp
 
         def g_of_s(s: mpf) -> mpf:
             g = asymptotics.euler_product_G(s, (6 * k - 2 - s) / 3, k, prime_limit, digits).value
-            num = (mpf(27) / 2 * asymptotics.zbar(s, digits)
-                   * asymptotics.zbar((2 * s + 1) / 3, digits)
-                   * asymptotics.zbar((s + 2) / 3, digits) * g)
+            num = (mpf(27) / 2 * asymptotics.zbar(s) * asymptotics.zbar((2 * s + 1) / 3)
+                   * asymptotics.zbar((s + 2) / 3) * g)
             return num / ((6 * k - 2 - s) * (6 * k + 1 - s) * s * (s + 1))
 
         # offsets in units of h/4

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf, workdps, workprec
 
 from manincount import asymptotics, cli
-from manincount.arith import primes_upto, rn_star_prime_powers
+from manincount.arith import primes_upto, rn_exact_table, rn_star, rn_star_prime_powers
 from manincount.asymptotics import (
     _FIXED_GUARD_BITS,
     _GUARD_DIGITS,
@@ -126,9 +126,9 @@ class TestZeta:
             for eps in ("1e-30", "1e-12", "5e-5", "9e-5"):
                 for sign in (1, -1):
                     sigma = 1 + sign * mpf(eps)
-                    err = abs(zbar(sigma, DIGITS) - zbar_stieltjes(sigma, DIGITS))
+                    err = abs(zbar(sigma) - zbar_stieltjes(sigma, DIGITS))
                     assert err < mpf(10) ** -DIGITS, (sign, eps)
-            assert zbar(1, DIGITS) == 1
+            assert zbar(1) == 1
 
 
 class TestLocalFactor:
@@ -295,6 +295,22 @@ class TestConstants:
         assert any("negative" in note for note in b.notes)
         assert b.C_star > 0 and b.C_proj > 0
 
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_prefactor_is_the_eisenstein_ratio(self, n):
+        # C*_n / C_script = 2 E_n n(n-2) / (3(3n-4)), where E_n = r_n(p) / r_n*(p)
+        # at a large prime p: the lattice count over the multiplicative r*,
+        # read without the Bernoulli prefactor.  r_4 and r_8 are pure
+        # Eisenstein series, so the ratio is exact; from n = 12 on a cusp
+        # form adds O(p^-(n/4-1/2)) relative to the Eisenstein part.
+        p = 997
+        e_n = Fraction(rn_exact_table(n, p)[p], rn_star(p, n // 4))
+        want = 2 * e_n * Fraction(n * (n - 2), 3 * (3 * n - 4))
+        b = constants_bundle(n, prime_limit=3000, digits=30)
+        with workdps(40):
+            rel = abs(b.C_star / b.C_script / (mpf(want.numerator) / want.denominator) - 1)
+            tol = mpf(10) ** -25 if n <= 8 else 32 * mpf(p) ** (mpf(1) / 2 - mpf(n) / 4)
+            assert rel < tol, (n, rel)
+
     def test_bad_n(self):
         with pytest.raises(ValueError):
             constants_bundle(6, PLIM, DIGITS)
@@ -421,24 +437,22 @@ class TestPredictors:
     def test_T_over_S_leading_is_quarter(self):
         with workdps(40):
             B = mpf(1000)
-            r = (predict_T(B, prime_limit=PLIM)
-                 / predict_S(B, B * B, 1, "leading", prime_limit=PLIM))
+            r = predict_T(B) / predict_S(B, B * B, 1, "leading")
             assert abs(r - mpf(1) / 4) < mpf(10) ** -30
 
     def test_full_at_psi_zero(self):
-        poly = constants_bundle(4, PLIM, DIGITS).poly
+        poly = constants_bundle(4).poly
         with workdps(40):
             x = mpf(50)
-            got = predict_S(x, x**3, 1, "full", prime_limit=PLIM)
+            got = predict_S(x, x**3, 1, "full")
             want = x * x**3 * (4 * poly.a0 + mpf(4) / 3 * poly.a1 - mpf(2) / 3 * poly.a2)
             assert abs(got - want) / abs(want) < mpf(10) ** -30
 
     def test_nstar_consistency_with_S_minus_T(self):
         with workdps(40):
             B = mpf(5000)
-            lhs = 16 * (predict_S(B, B * B, 1, "leading", prime_limit=PLIM)
-                        - predict_T(B, prime_limit=PLIM))
-            rhs = predict_counts(B, 4, prime_limit=PLIM)[0]
+            lhs = 16 * (predict_S(B, B * B, 1, "leading") - predict_T(B))
+            rhs = predict_counts(B, 4)[0]
             assert abs(lhs - rhs) / rhs < mpf(10) ** -25
 
     def test_domain_errors(self):
@@ -455,9 +469,8 @@ class TestPredictors:
         from manincount.counting import s_sum
 
         with workdps(40):
-            r400 = s_sum(400, 400**2, 2) / predict_S(400, 400**2, 2, "full", prime_limit=PLIM)
-            r1600 = (s_sum(1600, 1600**2, 2)
-                     / predict_S(1600, 1600**2, 2, "full", prime_limit=PLIM))
+            r400 = s_sum(400, 400**2, 2) / predict_S(400, 400**2, 2, "full")
+            r1600 = s_sum(1600, 1600**2, 2) / predict_S(1600, 1600**2, 2, "full")
             assert abs(r400 - 1) < mpf("0.06")
             assert abs(r1600 - 1) < mpf("0.04")
             assert abs(r1600 - 1) < abs(r400 - 1)

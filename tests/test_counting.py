@@ -2,6 +2,7 @@ import multiprocessing
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from math import floor, isqrt
 
 import pytest
@@ -131,9 +132,10 @@ class TestCubeDivisors:
         # the walk against divisors found without factorizing n and values
         # from rn_star(d), which factors d by trial division, so it does not
         # share the tables it reads.  One memo serves every window of an
-        # (n, k), so from the third window on an n whose rest is at most
-        # _LEAF_MAX is answered by a leaf at the root, and any other n
-        # descends past it; both kinds must occur at every k.
+        # (n, k): from the first window on an n whose rest is at most
+        # _LEAF_MAX is answered by a leaf at the root, built on that first
+        # call, and any other n descends past it; both kinds must occur at
+        # every k.
         rng = random.Random(31)
         ns = [2**14, 3**9, 2**15 + 1, 2**16 - 1, 65521 * 2, 3 * 5 * 7 * 11 * 13 * 3,
               7 * 10007, 2**3 * 3**2 * 4099,  # 4099 and 10007 exceed the square root
@@ -167,9 +169,10 @@ class TestCubeDivisors:
     def test_leaf_against_trial_division(self):
         # rests on both sides of _LEAF_MAX, rest 1, and head exponents 1 to 3
         # under a prime above every prime of the rest; each window once
-        # with a fresh memo (the walk) and once with a memo holding the
-        # root's leaf.  Head exponent 2 puts n**3 above 2**63, so the
-        # bisections compare Python ints beyond int64 with array('q').
+        # with a fresh memo, whose call builds the root's leaf or walks past
+        # the root, and once with a memo already holding the root's leaf.
+        # Head exponent 2 puts n**3 above 2**63, so the bisections compare
+        # Python ints beyond int64 with array('q').
         P = next_prime(_LEAF_MAX + 1)
         rests = (_LEAF_MAX - 1, _LEAF_MAX, _LEAF_MAX + 1, 1)
         rng = random.Random(37)
@@ -213,6 +216,21 @@ class TestCubeDivisors:
                 assert _rstar_sum(tab, lo, hi, shared) == _rstar_sum(tab, lo, hi, {}), (m, lo, hi)
         assert 0 < len(shared) <= _LEAF_MAX
         assert all(1 <= c <= _LEAF_MAX**3 for c in shared)  # keyed by rest**3
+
+    def test_shared_memo_holds_only_leaves(self):
+        # every rest at most _LEAF_MAX gets its leaf at first sight, so the
+        # memo holds leaves only, at most one per rest
+        memo = {}
+        for _, t in _block_tables(1, 2**15 + 1, 1):
+            _rstar_sum(t, 1, 2**30, memo)
+        assert 0 < len(memo) <= _LEAF_MAX
+        for cube, leaf in memo.items():
+            s = round(cube ** (1 / 3))
+            assert s**3 == cube and 1 <= s <= _LEAF_MAX, cube
+            assert leaf is not None, s
+            ds, pre = leaf
+            assert list(ds) == sorted(cube_divisors_of_divisors(s)), s
+            assert list(pre) == list(accumulate((rn_star(d) for d in ds), initial=0)), s
 
     def test_folded_sum_narrow_windows_near_top(self):
         # count_affine_exact's windows start at ceil(n^3/B), so most of the
@@ -314,6 +332,20 @@ class TestIntroot:
         assert introot(0, 3) == 0
         assert introot(1, 9) == 1
         assert introot(10**18, 1) == 10**18
+
+    def test_roots_past_float_precision(self):
+        # roots above 2**53, beyond what a float holds exactly
+        assert introot(10**81, 3) == 10**27
+        assert introot(10**81 + 1, 3) == 10**27
+        assert introot(10**175 + 1, 7) == 10**25
+
+    def test_random_against_definition(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            x = rng.getrandbits(rng.randint(1, 2000))
+            e = rng.randint(1, 40)
+            r = introot(x, e)
+            assert r**e <= x < (r + 1) ** e, (x, e)
 
 
 class TestSsum:
