@@ -15,9 +15,10 @@ pass takes its ln p from a chain of atanh series over consecutive primes,
 and P(t) its Stieltjes constant gamma_1 from an Euler-Maclaurin sum, both
 in fixed point with their own guard bits sized from the prime count and
 from W.  constants_bundle runs each pass once per (n, prime_limit, digits):
-the line pass gives P(t) and, from its value term alone, the expanded twin
-of C_script.  closed_form_C4, the independent twin of (3/16) G(1, 1), is
-exact.
+the line pass gives P(t) and, from its value term over its denominator,
+the expanded twin of C_script, truncated at the same primes as the compact
+form, so the two agree to the working precision.  closed_form_C4, the
+independent twin of (3/16) G(1, 1), is exact.
 
 Normalization note: the leading constant is defined here as
 C_script(4k) = (3 / (16 k (2k-1))) * G(1, 2k-1), with the matching
@@ -60,9 +61,6 @@ _GUARD_DIGITS = 10
 _FIXED_GUARD_BITS = 40
 _DEFAULT_PRIME_LIMIT = 100_000
 _DEFAULT_DIGITS = 30
-# C_script's compact form and its expanded twin must agree to this relative
-# tolerance beyond the zeta(6k-2) tail past the prime limit
-_CONSISTENCY_TOL = 1e-9
 # distance from the edge of the absolute convergence region that
 # _check_domain requires of every (s, w)
 _DOMAIN_EPS = 1e-9
@@ -441,7 +439,7 @@ def _line_pass(k: int, prime_limit: int, W: int) -> tuple[tuple[int, int, int], 
     one fixed-point jet multiply per prime; the denominators are one
     separate product.  c0 = (1 + 2u + 3u^2k + 2u^(4k-1) + u^4k)(1 - u)^2 is
     the odd factor of C_script's expanded form, so the numerator's value
-    term is that form's product.
+    term over the denominators is that form's odd product.
 
     There is no mpmath call per prime: each 2^W L comes from _log_chain,
     within one unit.  The _FIXED_GUARD_BITS that W carries past the
@@ -480,15 +478,12 @@ def constants_bundle(
     """All constants for dimension n = 4k, memoized per argument tuple.
 
     C_script = (3 / (16 k (2k-1))) G(1, 2k-1) from euler_product_G.  Its
-    expanded twin is an exact dyadic prefactor times zeta(6k-2) times the
-    odd-prime product of (1 + 2/p + 3/p^2k + 2/p^(4k-1) + 1/p^4k)(1 - 1/p)^2,
-    the value term of _line_pass's numerator; it reads neither _g2 nor
-    euler_product_G.  The twin carries all of zeta(6k-2), the compact form
-    only its primes <= prime_limit, so at a finite prime limit P they differ
-    by the factor prod_{p > P} (1 - p^-(6k-2))^-1, which exceeds 1 by at
-    most sum_{m > P} m^-(6k-2) <= P^-(6k-3) / (6k-3).  A relative
-    disagreement beyond _CONSISTENCY_TOL plus that bound raises
-    InternalConsistencyError.
+    expanded twin is an exact dyadic prefactor over 1 - 2^-(6k-2) times the
+    odd-prime product of (1 + 2/p + 3/p^2k + 2/p^(4k-1) + 1/p^4k)(1 - 1/p)^2
+    / (1 - p^-(6k-2)), the value term of _line_pass's numerator over its
+    denominator; it reads neither _g2 nor euler_product_G.  Both forms are
+    the same product truncated at prime_limit, so a relative disagreement
+    beyond 10^-digits raises InternalConsistencyError.
 
     poly is the residue quadratic P(t): a2 = g(1)/2, a1 = g'(1),
     a0 = g''(1)/2 for g_k(s) = 3 (s-1)^3 F3*(s) / ((6k-2-s)(6k+1-s) s (s+1)),
@@ -528,10 +523,11 @@ def constants_bundle(
             2 - half ** (2 * k) - half ** (4 * k - 1) - half ** (6 * k - 3)
         )
         dyadic = Fraction(3) * bracket / (128 * k * (2 * k - 1) * (2 ** (2 * k - 1) - 1))
-        expanded = (mpf(dyadic.numerator) / dyadic.denominator * mp.zeta(6 * k - 2)
-                    * mp.ldexp(num[0], -W))
+        dyadic /= 1 - half ** (6 * k - 2)
+        expanded = (mpf(dyadic.numerator) / dyadic.denominator * mp.ldexp(num[0], -W)
+                    / mp.ldexp(den, -W))
         rel = abs(c_script - expanded) / abs(c_script)
-        tol = _CONSISTENCY_TOL + mpf(prime_limit) ** (3 - 6 * k) / (6 * k - 3)
+        tol = mpf(10) ** -digits
         if rel > tol:
             raise InternalConsistencyError(
                 f"constants_bundle(n={n}): compact and expanded forms of C_script differ by "

@@ -197,8 +197,6 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
         _, _, full, rsum = tab[i]
         full_tail[i] = full_tail[i + 1] * full
         sum_tail[i] = sum_tail[i + 1] * rsum
-    if full_tail[0] < lo:
-        return 0
     if lo <= 1 and full_tail[0] <= hi:
         return sum_tail[0]
 
@@ -295,7 +293,7 @@ def _block_t(args: tuple[int, int, int, int]) -> int:
     return sum(_rstar_sum(t, 1, (n**3 - 1) // B, memo) for n, t in _block_tables(lo, hi, k))
 
 
-def _block_affine4(args: tuple[int, int, int, int]) -> int:
+def _block_affine(args: tuple[int, int, int, int]) -> int:
     lo, hi, k, B = args
     B2 = B * B
     memo: dict = {}
@@ -361,15 +359,17 @@ def count_affine_exact(B: int, n: int = 4, workers: int = 1) -> int:
     """Number of integral (x, y1..yn, z) on x**3 = (y1^2+...+yn^2) z with
     max(|x|, sqrt(sum y^2), |z|) <= B and x, z nonzero.
 
-    Evaluates 2 * sum_{m<=B} sum_{d | m^3, m^3/B <= d <= B^2} r_n(d); for
-    n = 4 the inner values come from r_4 = 8 r_4*, for larger n from the
-    exact lattice table.  The divisor range applies both bounds directly,
-    which keeps this structurally separate from s_sum - t_sum.
+    Evaluates 2 * sum_{m<=B} sum_{d | m^3, m^3/B <= d <= B^2} r_n(d).  For
+    n = 4 and 8 Jacobi's identities r_4 = 8 r_4* and r_8 = 16 r_8* turn it
+    into 4n times the folded walk at k = n/4, with no lattice table; for
+    n >= 12 the inner values come from the exact lattice table of length
+    B^2 + 1, so its memory budget caps B.  The divisor range applies both
+    bounds directly, which keeps this structurally separate from
+    s_sum - t_sum.
     """
     _check_query(B, n)
-    if n == 4:
-        inner = _run_blocks(_block_affine4, B, (1, B), workers)
-        return 16 * inner
+    if n <= 8:
+        return 4 * n * _run_blocks(_block_affine, B, (n // 4, B), workers)
     table = _rn_table(n, B * B)
     total = 0
     for m, t in _tables(1, B + 1, 1):
@@ -378,25 +378,29 @@ def count_affine_exact(B: int, n: int = 4, workers: int = 1) -> int:
     return 2 * total
 
 
-def count_affine_bruteforce(B: int, n: int = 4) -> int:
-    """Oracle for count_affine_exact: walk (x, z) divisor pairs directly.
+def _trial_pairs(X: int, Y: int) -> Iterator[tuple[int, int, int]]:
+    """(x, z, x**3 / z) for 1 <= x, z <= X with z | x**3 and x**3 / z <= Y,
+    z found by trial division only (never by the sieve or a divisor walk)."""
+    for x in range(1, X + 1):
+        cube = x**3
+        for z in range(1, X + 1):
+            Q, rem = divmod(cube, z)
+            if rem == 0 and Q <= Y:
+                yield x, z, Q
 
-    For each x in 1..B and each z in 1..B dividing x**3 (found by trial
-    division, never by the sieve or a divisor walk), the y-layer
-    contributes r_n(x**3 / z) taken from the lattice-convolution table
-    (never from the 8 r_4* identity), and the x < 0 half doubles the count.
+
+def count_affine_bruteforce(B: int, n: int = 4) -> int:
+    """Oracle for count_affine_exact: walk the (x, z) pairs of _trial_pairs
+    at (B, B^2) directly.
+
+    Each pair's y-layer contributes r_n(x**3 / z) taken from the
+    lattice-convolution table at every n (never from Jacobi's r_n* identity,
+    which count_affine_exact reads for n <= 8), and the x < 0 half doubles
+    the count.
     """
     _check_query(B, n)
     table = _rn_table(n, B * B)
-    B2 = B * B
-    total = 0
-    for x in range(1, B + 1):
-        cube = x**3
-        for z in range(1, B + 1):
-            Q, rem = divmod(cube, z)
-            if rem == 0 and Q <= B2:
-                total += table[Q]
-    return 2 * total
+    return 2 * sum(table[Q] for _, _, Q in _trial_pairs(B, B * B))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +421,6 @@ def count_projective(B: int, n: int = 4, workers: int = 1) -> int:
     """
     _check_query(B, n)
     R = introot(B, n - 1)
-    if R < 1:
-        return 0
     mu = mobius_sieve(R)
     cache: dict[int, int] = {}
     total = 0
@@ -454,43 +456,33 @@ def count_projective_bruteforce(B: int, n: int = 4) -> int:
     radius R = floor(B**(1/(n-1))) and keep tuples whose n+2 coordinates
     have gcd 1.
 
-    The z | x**3 with z <= R are found by trial division.  For n = 4 the
-    y-vectors are enumerated literally and the gcd is taken per tuple.
-    For n >= 8 full vector enumeration is hopeless, so the y-layer is
-    counted by sieving the common divisor e | gcd(x, z):
+    The (x, z) pairs come from one _trial_pairs call at (R, R^2), whose
+    second argument is the y-ball (see count_projective's known defect).
+    For n = 4 the y-vectors are enumerated literally and the gcd is taken
+    per tuple.  For n >= 8 full vector enumeration is hopeless, so the
+    y-layer is counted by sieving the common divisor e | gcd(x, z):
     sum_{e | gcd(x,z), e^2 | Q} mu(e) r_n(Q / e^2).
     """
     _check_query(B, n)
     R = introot(B, n - 1)
-    if R < 1:
-        return 0
     R2 = R * R
+    pairs = _trial_pairs(R, R2)
     total = 0
     if n == 4:
         vecs = _vectors_by_norm(4, R2)
-        for x in range(1, R + 1):
-            cube = x**3
-            for z in range(1, R + 1):
-                Q, rem = divmod(cube, z)
-                if rem or Q > R2:
-                    continue
-                g0 = math.gcd(x, z)
-                for y in vecs[Q]:
-                    if math.gcd(g0, math.gcd(*[abs(v) for v in y])) == 1:
-                        total += 1
+        for x, z, Q in pairs:
+            g0 = math.gcd(x, z)
+            for y in vecs[Q]:
+                if math.gcd(g0, *y) == 1:
+                    total += 1
         return 2 * total
     table = _rn_table(n, R2)
     mu = mobius_sieve(R)
-    for x in range(1, R + 1):
-        cube = x**3
-        for z in range(1, R + 1):
-            Q, rem = divmod(cube, z)
-            if rem or Q > R2:
-                continue
-            g0 = math.gcd(x, z)
-            for e in range(1, isqrt(Q) + 1):
-                if g0 % e == 0 and Q % (e * e) == 0 and mu[e] != 0:
-                    total += mu[e] * table[Q // (e * e)]
+    for x, z, Q in pairs:
+        g0 = math.gcd(x, z)
+        for e in range(1, isqrt(Q) + 1):
+            if g0 % e == 0 and Q % (e * e) == 0 and mu[e] != 0:
+                total += mu[e] * table[Q // (e * e)]
     return 2 * total
 
 

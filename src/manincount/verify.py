@@ -210,7 +210,8 @@ def suite_oracles(budget: str, seed: int, workers: int) -> Iterator[CheckResult]
 
 
 def suite_constants(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
-    """Cross-route, dual-line, leading-coefficient and P(t)-derivative identities."""
+    """Cross-route, dual-line, leading-coefficient, P(t)-derivative and
+    Eisenstein-prefactor identities."""
     plim = 10_000 if budget == "quick" else 100_000
     fd_ks = (1,) if budget == "quick" else (1, 2, 3)
     plim_cross = 100_000 if budget == "quick" else 1_000_000
@@ -225,7 +226,7 @@ def suite_constants(budget: str, seed: int, workers: int) -> Iterator[CheckResul
                           f"(3/16)G(1,1) - closed form={mp.nstr(excess, 6)} "
                           f"tail bound={mp.nstr(bound, 6)}")
 
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             try:
                 bundle = asymptotics.constants_bundle(4 * k, prime_limit=plim, digits=digits)
             except asymptotics.InternalConsistencyError as exc:
@@ -248,6 +249,19 @@ def suite_constants(budget: str, seed: int, workers: int) -> Iterator[CheckResul
                                       f"|a1-fd|={mp.nstr(gap1, 3)} |a0-fd|={mp.nstr(gap0, 3)} "
                                       f"fd_error={mp.nstr(err, 3)} a2 rel={mp.nstr(rel2, 3)}")
             yield CheckResult(f"dual-line-k{k}", True, f"C_script={mp.nstr(c, 12)}")
+
+            # C*/C = 2 E_n n(n-2)/(3(3n-4)), E_n = r_n(p)/r_n*(p) at the prime
+            # p = 199 read from the lattice table, not from the Bernoulli
+            # prefactor; from n = 12 on a cusp form moves the ratio by at
+            # most 32 p^(1/2 - n/4) (Deligne's bound)
+            n, p = 4 * k, 199
+            e_n = Fraction(arith.rn_exact_table(n, p)[p], arith.rn_star(p, k))
+            want = 2 * e_n * Fraction(n * (n - 2), 3 * (3 * n - 4))
+            rel = abs(bundle.C_star / bundle.C_script / (mpf(want.numerator) / want.denominator) - 1)
+            tol = mpf(10) ** -25 if n <= 8 else 32 * mpf(p) ** (mpf(1) / 2 - mpf(n) / 4)
+            yield CheckResult(f"eisenstein-n{n}", rel <= tol,
+                              f"C*/C vs 2 E_n n(n-2)/(3(3n-4)) rel={mp.nstr(rel, 3)} "
+                              f"tol={mp.nstr(tol, 3)}")
 
         bundle = asymptotics.constants_bundle(4, prime_limit=plim, digits=digits)
         yield CheckResult("prefactor-16/3", bundle.prefactor == Fraction(16, 3),

@@ -135,7 +135,7 @@ def test_criterion_06_prefactor_and_dual_line():
         dual_ok = False
     report(6, ok and dual_ok,
            "affine/script prefactor is exactly 16/3 at n=4; compact and expanded "
-           "constant forms agree to 1e-9 for k=1,2,3")
+           "constant forms agree to 1e-30 for k=1,2,3")
 
 
 def test_criterion_07_bracketing():

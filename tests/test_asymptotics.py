@@ -26,7 +26,7 @@ from manincount.asymptotics import (
     predict_counts,
     zbar,
 )
-from manincount.verify import _poly_fd_oracle
+from manincount.verify import _poly_fd_oracle, run_suite
 
 PLIM = 10_000
 DIGITS = 30
@@ -315,13 +315,18 @@ class TestConstants:
         with pytest.raises(ValueError):
             constants_bundle(6, PLIM, DIGITS)
 
-    @pytest.mark.parametrize("target", ["_g2", "euler_product_G"])
-    def test_twin_reads_neither_g2_nor_euler_product_G(self, monkeypatch, target):
-        # scaling either by 1 + 1e-6 moves C_script but not its expanded
-        # twin, so the consistency check must fire, in the library and as
-        # the CLI's exit 4
+    @pytest.mark.parametrize("target, eps", [
+        pytest.param("_g2", "1e-6", id="_g2"),
+        pytest.param("euler_product_G", "1e-6", id="euler_product_G"),
+        pytest.param("_g2", "1e-12", id="_g2-1e-12"),
+        pytest.param("euler_product_G", "1e-12", id="euler_product_G-1e-12"),
+    ])
+    def test_twin_reads_neither_g2_nor_euler_product_G(self, monkeypatch, target, eps):
+        # scaling either by 1 + eps moves C_script but not its expanded
+        # twin, which is the same truncated product, so the consistency
+        # check at 1e-30 must fire, in the library and as the CLI's exit 4
         orig = getattr(asymptotics, target)
-        scale = 1 + mpf("1e-6")
+        scale = 1 + mpf(eps)
 
         def patched(*args):
             v = orig(*args)
@@ -336,6 +341,13 @@ class TestConstants:
             assert cli.main(["constants", "--n", "8", "--prime-limit", "3000"]) == 4
         finally:
             constants_bundle.cache_clear()
+
+    def test_verify_has_the_eisenstein_twin(self):
+        # verify's constants suite checks C*/C against r_n(p)/r_n*(p) from
+        # the lattice table for every n = 4k up to 16
+        checks = {r.name: r for r in run_suite("constants", "quick")}
+        for n in (4, 8, 12, 16):
+            assert checks[f"eisenstein-n{n}"].ok, checks[f"eisenstein-n{n}"]
 
     def test_one_line_pass_and_memo(self, monkeypatch):
         # euler_product_G and the line pass sieve once each; repeated calls

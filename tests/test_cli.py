@@ -44,7 +44,9 @@ class TestCount:
         assert "exact=1" in out
 
     def test_resource_exit_code(self, capsys):
-        code, _, err = run(capsys, "count", "--mode", "affine", "--B", "100000", "--n", "8")
+        # n = 8 runs on the folded walk; n = 12 still needs a lattice table
+        # of length B^2 + 1, which the memory budget refuses at once
+        code, _, err = run(capsys, "count", "--mode", "affine", "--B", "100000", "--n", "12")
         assert code == 3
         assert "budget" in err
 

@@ -450,6 +450,19 @@ class TestAffine:
         for B in range(1, 61):
             assert count_affine_exact(B, n) == count_affine_bruteforce(B, n), B
 
+    def test_n8_reads_no_lattice_table(self, monkeypatch):
+        # Jacobi's r_8 = 16 r_8* puts N*_8 on the folded walk at k = 2, so
+        # the lattice table is left to the brute-force twin, and B = 2013
+        # (past the table's memory budget) returns
+        def no_table(n, limit):
+            raise AssertionError(f"lattice table requested: n={n} limit={limit}")
+
+        with monkeypatch.context() as m:
+            m.setattr(counting, "_rn_table", no_table)
+            walked = [count_affine_exact(B, 8) for B in range(1, 61)]
+            assert count_affine_exact(2013, 8) > walked[-1]
+        assert walked == [count_affine_bruteforce(B, 8) for B in range(1, 61)]
+
     def test_decomposition_identity(self):
         for B in (1, 2, 3, 10, 37, 100):
             assert count_affine_exact(B, 4) == 16 * (s_sum(B, B * B) - t_sum(B))
