@@ -150,25 +150,6 @@ def _check_domain(s, w, k: int) -> None:
             )
 
 
-def _gp_odd(p: mpf, s, w, k: int) -> mpf:
-    """The Euler factor G_p(s, w) at an odd prime p for the double divisor
-    sum with r_{4k}*, at the working precision."""
-    z = p ** (2 * k - 1)
-    num = (
-        1
-        + (z + 1) * p ** (-s - w)
-        + (z * z + z + 1) * p ** (-s - 2 * w)
-        + (z * z + z) * p ** (-s - 3 * w)
-        + z * z * p ** (-2 * s - 4 * w)
-    )
-    return (
-        num
-        * (1 - z * p ** (-s - w))
-        * (1 - z * z * p ** (-s - 2 * w))
-        / (1 - p ** (-s - 3 * w))
-    )
-
-
 def _g2(s, w, k: int) -> mpf:
     two = mpf(2)
     q = 2 ** (2 * k - 1)
@@ -222,12 +203,14 @@ def euler_product_G(
 ) -> EulerProductValue:
     """G(s, w) = prod_p G_p(s, w) truncated at prime_limit, with tail bound.
 
-    The odd factors are _gp_odd's formula in fixed point.  Its nine
-    monomials z^c p^-(a s + b w) = p^-(a s + b w - c(2k-1)) have exponents
-    >= 1/2 on the domain.  Write t_b = s + b w = n_b + f_b with n_b an
-    integer and 0 <= f_b < 1; then a = 1 monomials are p^-f_b // p^(n_b -
-    c(2k-1)), the one with a = 2 is the square of (b, c) = (2, 1), and
-    p^-f_b is exactly 1 when t_b is an integer, else one exp per prime.
+    At an odd prime p, with z = p^(2k-1) and X_b = p^-(s + b w),
+    G_p = [1 + (z+1) X_1 + (z^2+z+1) X_2 + (z^2+z) X_3 + z^2 X_2^2]
+    (1 - z X_1) (1 - z^2 X_2) / (1 - X_3), taken here in fixed point.
+    Its nine monomials z^c p^-(a s + b w) = p^-(a s + b w - c(2k-1)) have
+    exponents >= 1/2 on the domain.  Write t_b = s + b w = n_b + f_b with
+    n_b an integer and 0 <= f_b < 1; then a = 1 monomials are p^-f_b //
+    p^(n_b - c(2k-1)), the one with a = 2 is the square of (b, c) = (2, 1),
+    and p^-f_b is exactly 1 when t_b is an integer, else one exp per prime.
     """
     _check_domain(s, w, k)
     if prime_limit < 2:

@@ -20,7 +20,7 @@ from mpmath import mp, mpf, workdps
 
 from . import asymptotics, counting, verify
 from .arith import ResourceBudgetError
-from .asymptotics import DomainError, InternalConsistencyError
+from .asymptotics import InternalConsistencyError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,16 +73,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     workers = args.workers
     fields: dict[str, str] = {"mode": mode, "B": str(B)}
     oracle_value = None
+    if mode in ("S", "M") and y is None:
+        raise UsageError(f"--y is required for --mode {mode}")
     if mode == "S":
-        if y is None:
-            raise UsageError("--y is required for --mode S")
         value = counting.s_sum(B, y, k, workers=workers)
         fields["y"] = str(y)
     elif mode == "T":
         value = counting.t_sum(B, k, workers=workers)
     elif mode == "M":
-        if y is None:
-            raise UsageError("--y is required for --mode M")
         value = counting.mean_value_M(B, y, k)
         fields["y"] = str(y)
     elif mode == "affine":
@@ -291,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceBudgetError as exc:

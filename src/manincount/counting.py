@@ -193,17 +193,17 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
     # the walk descends past the root: tail products of the tables
     full_tail = [1] * (r + 1)
     sum_tail = [1] * (r + 1)
-    for i in range(r - 1, -1, -1):
+    for i in range(r - 1, 0, -1):
         _, _, full, rsum = tab[i]
         full_tail[i] = full_tail[i + 1] * full
         sum_tail[i] = sum_tail[i + 1] * rsum
-    if lo <= 1 and full_tail[0] <= hi:
-        return sum_tail[0]
 
-    # Called only on a node d <= hi whose subtree [d, d * full_tail[i]]
-    # straddles a bound.  A leaf child has full_tail == 1, so it is always
-    # skipped or folded and the walk never indexes past the last prime.
-    # The root's rest is above _LEAF_CUBE, so only deeper nodes reach a leaf.
+    # Called on the root, whose divisors may all lie in the range (then
+    # every child is folded), and below it only on a node d <= hi whose
+    # subtree [d, d * full_tail[i]] straddles a bound.  A leaf child has
+    # full_tail == 1, so it is always skipped or folded and the walk never
+    # indexes past the last prime.  The root's rest is above _LEAF_CUBE,
+    # so only deeper nodes reach a leaf.
     def rec(i: int, d: int) -> int:
         ft = full_tail[i + 1]
         if 1 < ft <= _LEAF_CUBE:
@@ -304,7 +304,8 @@ def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) 
     """Apply a block worker over [1, x] in sieve blocks, summed in order.
 
     The jobs are the blocks of _tables, whatever ``workers`` is; a pool
-    starts only when there are two jobs or more to share.
+    starts only when there are two jobs or more to share, under the
+    process's multiprocessing start method (fork, spawn or forkserver).
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -314,7 +315,7 @@ def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) 
         return sum(fn(job) for job in jobs)
     from multiprocessing import get_context
 
-    with get_context("fork").Pool(procs) as pool:
+    with get_context().Pool(procs) as pool:
         return sum(pool.map(fn, jobs, chunksize=1))
 
 
@@ -495,20 +496,20 @@ def mean_value_M(X: Fraction | int, Y: Fraction | int, k: int = 1) -> Fraction:
 
     Equals the double integral of S over [1,X] x [1,Y] because S is a step
     function jumping only at integer n and d.  Arguments may be rational.
-    Expanding (X-n)(Y-d) leaves four integer sums and one rational
-    expression at the end.
+    With X = a/q and Y = b/u in lowest terms, q u (X-n)(Y-d) =
+    (a - q n)(b - u d) is an integer, so one integer sum over q u gives M.
     """
     X = Fraction(X)
     Y = Fraction(Y)
+    a, q = X.numerator, X.denominator
+    b, u = Y.numerator, Y.denominator
     ylim = math.floor(Y)
-    s_r = s_nr = s_rd = s_nrd = 0
+    acc = 0
     for n, t in _tables(1, math.floor(X) + 1, k):
+        xn = a - q * n
         for d, r in _cube_divisors(t, ylim):
-            s_r += r
-            s_nr += n * r
-            s_rd += r * d
-            s_nrd += n * r * d
-    return X * Y * s_r - Y * s_nr - X * s_rd + s_nrd
+            acc += r * xn * (b - u * d)
+    return Fraction(acc, q * u)
 
 
 def apply_D(f: Callable[[Fraction, Fraction], Fraction], X, H, Y, J):
@@ -551,15 +552,6 @@ def identity_scan(Bmax: int) -> tuple[list[int], list[int], list[int]]:
             b2 = b0 if b0 >= lo else lo
             if b2 <= Bmax:
                 dA[b2] += 16 * r
-    S = [0] * (Bmax + 1)
-    T = [0] * (Bmax + 1)
-    A = [0] * (Bmax + 1)
-    accS = accT = accA = 0
-    for B in range(1, Bmax + 1):
-        accS += dS[B]
-        accT += dT[B]
-        accA += dA[B]
-        S[B] = accS
-        T[B] = accT
-        A[B] = accA
+    # no pair adds to slot 0, so index 0 of each prefix sum stays 0
+    S, T, A = (list(accumulate(dd[: Bmax + 1])) for dd in (dS, dT, dA))
     return S, T, A

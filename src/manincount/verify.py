@@ -137,7 +137,8 @@ def _poly_fd_oracle(k: int, digits: int, prime_limit: int) -> tuple[mpf, mpf, mp
 
 
 def suite_identities(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
-    """The affine decomposition N*_4(B) = 16 (S(B, B^2) - T(B)) for every B."""
+    """The affine decomposition N*_4(B) = 16 (S(B, B^2) - T(B)) for every B
+    of the scan, and at full budget once more over two sieve blocks."""
     bmax = 500 if budget == "quick" else 10_000
     S, T, A = counting.identity_scan(bmax)
     for B in range(1, bmax + 1):
@@ -155,6 +156,14 @@ def suite_identities(budget: str, seed: int, workers: int) -> Iterator[CheckResu
         okA = A[B] == counting.count_affine_exact(B, 4, workers=workers)
         yield CheckResult(f"scan-vs-api-B{B}", okS and okT and okA,
                           f"S ok={okS} T ok={okT} A ok={okA}")
+    if budget == "full":
+        # two sieve blocks, so workers >= 2 runs the three sums in a pool
+        B = counting._SIEVE_BLOCK + 1
+        s = counting.s_sum(B, B * B, 1, workers=workers)
+        t = counting.t_sum(B, 1, workers=workers)
+        a = counting.count_affine_exact(B, 4, workers=workers)
+        yield CheckResult("affine-identity-two-blocks", a == 16 * (s - t),
+                          f"B={B}: A={a}, 16(S-T)={16 * (s - t)}")
 
 
 def suite_oracles(budget: str, seed: int, workers: int) -> Iterator[CheckResult]:
@@ -165,15 +174,20 @@ def suite_oracles(budget: str, seed: int, workers: int) -> Iterator[CheckResult]
     d_rn = 60 if budget == "quick" else 200
 
     for n in (4, 8):
-        counting.count_affine_bruteforce(b_aff, n)  # warm the largest table once
-        for B in range(1, b_aff + 1):
+        # at n = 4 the quick range adds B = 150 > sqrt(3^9), where d = 3^9
+        # (a divisor of 27^3) brings in the first odd p^j with j >= 9
+        extra = (150,) if n == 4 and budget == "quick" else ()
+        bs = [*range(1, b_aff + 1), *extra]
+        counting.count_affine_bruteforce(bs[-1], n)  # warm the largest table once
+        for B in bs:
             a = counting.count_affine_exact(B, n, workers=workers)
             b = counting.count_affine_bruteforce(B, n)
             if a != b:
                 yield CheckResult(f"affine-oracle-n{n}", False, f"B={B}: exact={a} brute={b}")
                 break
         else:
-            yield CheckResult(f"affine-oracle-n{n}", True, f"all B <= {b_aff}")
+            yield CheckResult(f"affine-oracle-n{n}", True,
+                              f"all B <= {b_aff}" + "".join(f" and B = {B}" for B in extra))
 
     for B in range(1, b_proj + 1):
         a = counting.count_projective(B, 4, workers=workers)

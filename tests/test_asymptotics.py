@@ -15,7 +15,6 @@ from manincount.asymptotics import (
     InternalConsistencyError,
     _g2,
     _gamma1,
-    _gp_odd,
     _Jet,
     _log_chain,
     closed_form_C4,
@@ -62,6 +61,26 @@ def dyadic_prefactor(k: int) -> Fraction:
         2 - half ** (2 * k) - half ** (4 * k - 1) - half ** (6 * k - 3)
     )
     return Fraction(3) * bracket / (128 * k * (2 * k - 1) * (2 ** (2 * k - 1) - 1))
+
+
+def _gp_odd(p: mpf, s, w, k: int) -> mpf:
+    """The Euler factor G_p(s, w) at an odd prime p for the double divisor
+    sum with r_{4k}*, at the working precision: the mpf reference that
+    euler_product_G's fixed-point factors are checked against."""
+    z = p ** (2 * k - 1)
+    num = (
+        1
+        + (z + 1) * p ** (-s - w)
+        + (z * z + z + 1) * p ** (-s - 2 * w)
+        + (z * z + z) * p ** (-s - 3 * w)
+        + z * z * p ** (-2 * s - 4 * w)
+    )
+    return (
+        num
+        * (1 - z * p ** (-s - w))
+        * (1 - z * z * p ** (-s - 2 * w))
+        / (1 - p ** (-s - 3 * w))
+    )
 
 
 def _gp_odd_jet(p: int, k: int) -> _Jet:

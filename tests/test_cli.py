@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -26,6 +27,12 @@ class TestCount:
     def test_s_mode_requires_y(self, capsys):
         code, _, err = run(capsys, "count", "--mode", "S", "--B", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["S", "M"])
+    def test_modes_requiring_y(self, capsys, mode):
+        code, out, err = run(capsys, "count", "--mode", mode, "--B", "2")
+        assert code == 2 and out == ""
+        assert err == f"usage error: --y is required for --mode {mode}\n"
 
     def test_invalid_B(self, capsys):
         code, _, _ = run(capsys, "count", "--mode", "affine", "--B", "0")
@@ -165,6 +172,31 @@ class TestVerify:
         summary = json.loads(last)
         assert summary["failed"] == 1 and summary["checks"] == len(checks)
         assert summary["failing_case"]["name"] == "affine-oracle-n4"
+
+    def test_quick_oracles_reach_odd_ninth_powers(self, monkeypatch):
+        # the mutant "odd-p r*(p^j) off by one from j = 9" first changes
+        # N*_4 at B = 141, where d = 3^9 | 27^3 enters the range: the walk
+        # reads the mutant through counting's entries, the brute force its
+        # lattice table
+        from manincount import counting
+
+        true_powers = counting.rn_star_prime_powers
+
+        def off_from_j9(p, emax, k=1):
+            return [v + (p > 2 and j >= 9) for j, v in enumerate(true_powers(p, emax, k))]
+
+        monkeypatch.setattr(counting, "rn_star_prime_powers", off_from_j9)
+        last = run_suite("oracles", "quick")[-1]
+        assert last.name == "affine-oracle-n4" and not last.ok
+        assert last.detail.startswith("B=150: ")
+
+    def test_full_identities_start_a_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        with pytest.raises(AssertionError, match="pool was started"):
+            run_suite("identities", "full", workers=2)
 
     @pytest.mark.parametrize("budget", ["Quick", "ful", ""])
     def test_unknown_budget_rejected(self, budget):

@@ -1,5 +1,9 @@
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -426,6 +430,35 @@ class TestRunBlocks:
         got = (s_sum(x, x * x, workers=2), t_sum(x, workers=2),
                count_affine_exact(x, 4, workers=2), count_projective(10**9, 4, workers=2))
         assert got == expected
+
+    def test_pool_under_spawn(self, tmp_path):
+        # the pool takes the process's start method: under spawn the workers
+        # import the package afresh and give what one process gives
+        script = tmp_path / "spawn_pool.py"
+        script.write_text(textwrap.dedent("""
+            import multiprocessing
+
+            from manincount.counting import s_sum
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                real = multiprocessing.get_context
+                methods = []
+
+                def spy(*args):
+                    ctx = real(*args)
+                    methods.append(ctx.get_start_method())
+                    return ctx
+
+                multiprocessing.get_context = spy
+                x = 2**15 + 5
+                assert s_sum(x, x * x, workers=2) == s_sum(x, x * x, workers=1)
+                assert methods == ["spawn"], methods
+        """))
+        src = os.path.dirname(os.path.dirname(counting.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=path),
+                       check=True, timeout=300)
 
     def test_two_blocks_reach_the_pool(self, monkeypatch):
         self._no_pool(monkeypatch)
