@@ -3,9 +3,10 @@
 Subcommands: ``count`` (exact counters, optionally with their brute-force
 oracles), ``constants`` (the constants bundle as JSON), ``verify``
 (invariant suites) and ``scan`` (convergence CSV).  Exit codes: 0 ok,
-1 verification/oracle failure, 2 usage, 3 resource budget, 4 internal
-inconsistency.  ``--workers`` (default 1) sets the process count of the
-counting sums; their output does not depend on it.
+1 verification/oracle failure, 2 usage, 3 resource budget or a pool
+worker that died, 4 internal inconsistency.  ``--workers`` (default 1)
+sets the process count of the counting sums; their output does not
+depend on it.
 """
 
 from __future__ import annotations
@@ -298,6 +299,17 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except _broken_pool() as exc:
+        print(f"worker pool broken: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+
+
+def _broken_pool() -> type[Exception]:
+    # An except clause is evaluated only when an exception reaches it, so
+    # the pool machinery is imported on that path alone, never at start-up.
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool
 
 
 if __name__ == "__main__":

@@ -306,6 +306,8 @@ def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) 
     The jobs are the blocks of _tables, whatever ``workers`` is; a pool
     starts only when there are two jobs or more to share, under the
     process's multiprocessing start method (fork, spawn or forkserver).
+    A worker that dies raises BrokenProcessPool instead of leaving its
+    block's result to be waited for forever.
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -313,10 +315,11 @@ def _run_blocks(fn: Callable[[tuple], int], x: int, extra: tuple, workers: int) 
     procs = min(workers, len(jobs))
     if procs <= 1:
         return sum(fn(job) for job in jobs)
+    from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    with get_context().Pool(procs) as pool:
-        return sum(pool.map(fn, jobs, chunksize=1))
+    with ProcessPoolExecutor(procs, mp_context=get_context()) as ex:
+        return sum(ex.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------

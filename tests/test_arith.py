@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from math import comb, isqrt
@@ -242,15 +243,54 @@ class TestConvolveExact:
             _convolve_exact([1, 1], [0, -2**70], 3)
 
 
-@pytest.mark.parametrize("module", ["numpy", "multiprocessing"])
-def test_import_does_not_load(module):
+def _fresh_interpreter(code):
     src = str(Path(manincount.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, manincount; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "mpmath", "manincount.asymptotics"])
+def test_import_does_not_load(module):
+    code = f"import sys, manincount; print({module!r} in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_constants_names_load_on_first_use():
+    code = textwrap.dedent("""
+        import sys
+        import manincount
+
+        lazy = ["ConstantsBundle", "EulerProductValue", "PolynomialP", "closed_form_C4",
+                "constants_bundle", "euler_product_G", "predict_S", "predict_T",
+                "predict_counts"]
+        assert set(lazy + ["asymptotics"]) <= set(dir(manincount))
+        try:
+            manincount.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("an unknown name resolved")
+        assert "mpmath" not in sys.modules and "manincount.asymptotics" not in sys.modules
+
+        manincount.constants_bundle(4, 1000)
+        assert "mpmath" in sys.modules and "manincount.asymptotics" in sys.modules
+        from manincount import constants_bundle
+
+        asymptotics = manincount.asymptotics
+        assert asymptotics is sys.modules["manincount.asymptotics"]
+        assert constants_bundle is asymptotics.constants_bundle
+        for name in lazy:
+            assert getattr(manincount, name) is getattr(asymptotics, name), name
+            assert name not in vars(manincount), name  # the submodule is the one holder
+        star = {}
+        exec("from manincount import *", star)
+        assert set(lazy) <= set(star), set(lazy) - set(star)
+        print("ok")
+    """)
+    assert _fresh_interpreter(code) == "ok"
 
 
 class TestBernoulli:

@@ -34,6 +34,12 @@ class TestCount:
         assert code == 2 and out == ""
         assert err == f"usage error: --y is required for --mode {mode}\n"
 
+    def test_dead_worker_exits_3(self, capsys, dying_block_worker):
+        code, out, err = run(capsys, "count", "--mode", "S", "--B", "70000", "--y", "4900000000",
+                             "--workers", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("worker pool broken: ") and err.count("\n") == 1
+
     def test_invalid_B(self, capsys):
         code, _, _ = run(capsys, "count", "--mode", "affine", "--B", "0")
         assert code == 2

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from itertools import accumulate
 from math import floor, isqrt
@@ -433,12 +434,18 @@ class TestRunBlocks:
 
     def test_pool_under_spawn(self, tmp_path):
         # the pool takes the process's start method: under spawn the workers
-        # import the package afresh and give what one process gives
+        # import the package afresh, without mpmath, and give what one
+        # process gives
         script = tmp_path / "spawn_pool.py"
         script.write_text(textwrap.dedent("""
             import multiprocessing
+            import sys
 
-            from manincount.counting import s_sum
+            from manincount.counting import _run_blocks, s_sum
+
+            def probe(job):
+                # 1 in a worker that imported mpmath
+                return int("mpmath" in sys.modules)
 
             if __name__ == "__main__":
                 multiprocessing.set_start_method("spawn")
@@ -454,11 +461,17 @@ class TestRunBlocks:
                 x = 2**15 + 5
                 assert s_sum(x, x * x, workers=2) == s_sum(x, x * x, workers=1)
                 assert methods == ["spawn"], methods
+                assert _run_blocks(probe, x, (), 2) == 0
         """))
         src = os.path.dirname(os.path.dirname(counting.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         subprocess.run([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=path),
                        check=True, timeout=300)
+
+    def test_dead_worker_breaks_the_pool(self, dying_block_worker):
+        # a worker that exits mid-block is reported, not waited for forever
+        with pytest.raises(BrokenProcessPool):
+            s_sum(_SIEVE_BLOCK + 5, 1, workers=2)
 
     def test_two_blocks_reach_the_pool(self, monkeypatch):
         self._no_pool(monkeypatch)
