@@ -182,11 +182,14 @@ def scan_rows(quantity: str, b_list: list[int], n: int, workers: int = 1) -> str
     """CSV convergence report, one row per B, header fixed: the exact value,
     its leading-term prediction and the scaled error.
 
-    T has a prediction only at n = 4; any other n raises UsageError before
-    anything is counted.
+    T has a prediction only at n = 4, and every prediction needs B >= 10;
+    a request outside these raises UsageError before anything is counted.
     """
     if quantity == "T" and n != 4:
         raise UsageError("--quantity T has a prediction only for --n 4")
+    for B in b_list:
+        if B < 10:
+            raise UsageError(f"--B-list needs every B >= 10 (the predictions' domain), got {B}")
     k = n // 4
     rows = [SCAN_HEADER]
     # the predictors' default digits and their guard digits
@@ -216,8 +219,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         b_list = [int(tok) for tok in args.B_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --B-list: {exc}") from None
-    if not b_list or any(b < 1 for b in b_list):
-        raise UsageError("--B-list needs a nonempty comma list of positive integers")
+    if not b_list:
+        raise UsageError("--B-list needs a nonempty comma list of integers")
     text = scan_rows(args.quantity, b_list, args.n, workers=args.workers)
     _write(text, args.out)
     return EXIT_OK

@@ -6,10 +6,11 @@ All counters are exact; divisor-range conditions are integer
 cross-multiplications (d*B >= m**3 and the like), never floats.  The
 fast paths read every n through its prime-power tables, which one
 segmented sieve builds block by block, _SIEVE_SEGMENT values at a time,
-and walk the divisors of n**3 on them.  The folded walk answers every
-subtree whose rest (the part of n below a node) is at most _LEAF_MAX
-from a leaf of sorted divisors and prefix sums, kept in a memo that
-lives for one block worker's call, so memory stays bounded.  The heavy
+and walk the divisors of n**3 on them.  The folded walk has two levels:
+it lists the divisors of the cube of n's large prime powers and answers
+what lies below each from a leaf of sorted divisors and prefix sums for
+the small ones (product at most _LEAF_MAX), kept in a memo that lives
+for one block worker's call, so memory stays bounded.  The heavy
 sums cut the outer range into fixed blocks of _SIEVE_BLOCK values,
 whatever the worker count, and start a process pool only for two
 blocks or more; exact integer addition makes the result independent of
@@ -82,7 +83,7 @@ _SIEVE_SEGMENT = 1 << 12
 # Immutable, because the m of a sieve block share them.
 Entry = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
-# Largest rest that _rstar_sum answers from a leaf instead of walking (see
+# Largest rest that _rstar_sum answers from a leaf instead of listing (see
 # the walks below).  Every divisor in a leaf is at most _LEAF_CUBE, so a
 # leaf stores them as array('q'), and its prefix sums of r* too while they
 # fit in 64 bits (at k = 1; from k = 2 on they stay a list).
@@ -157,24 +158,24 @@ def _tables(lo: int, hi: int, k: int) -> Iterator[tuple[int, list[Entry]]]:
 # ---------------------------------------------------------------------------
 # the two walks over the divisors of n**3
 #
-# Both walk prime-by-prime, largest prime first, on the tables of _tables.
-# _rstar_sum folds: the inner sums are multiplicative, so a subtree whose
-# divisors all lie in the range adds its r* at the node times the r* sum of
-# the remaining primes.  Every child is tested before any recursion: one
-# whose largest divisor lies below the range is skipped, one wholly inside
-# is folded, and only a child that straddles a bound is entered, so the
-# walk touches only the boundary region.
-#
-# Below a node the divisors are d times (a power of the node's prime) times
-# (a divisor of s**3), where s, the rest, is the product of the smaller
-# prime powers of n.  When s <= _LEAF_MAX the walk does not descend: a
-# leaf, the sorted divisors of s**3 with the prefix sums of their r*,
-# answers each straddling child dq with two bisections,
+# Both read the tables of _tables, largest prime first.  _cube_divisors
+# lists every divisor d <= hi with its r*, for callers that need each d.
+# _rstar_sum folds, on two levels.  n's smallest prime powers, taken while
+# the cube of their product s (the rest) stays <= _LEAF_CUBE, form the
+# leaf: the sorted divisors of s**3 with the prefix sums of their r*.  The
+# next prime power heads the leaf, and the larger ones form the listed
+# part, whose divisors d <= hi _cube_divisors lists.  Most n have no
+# listed part.  The divisors below a listed d are d times (a power of the
+# head) times (a divisor of s**3), so they lie in [d, d * span], span the
+# head's cube times s**3.  The inner sums are multiplicative: a d whose
+# whole span lies in the range adds its r* times the head's and the
+# leaf's r* totals, one whose span lies below the range is skipped, and
+# any other is answered from the leaf, head child by head child; a child
+# dq across a bound takes two bisections,
 # pre[bisect_right(ds, hi // dq)] - pre[bisect_left(ds, ceil(lo / dq))].
 # Leaves live in a memo that a block worker passes to every n of its
 # block; it is keyed by s**3 (so by s; k is fixed per call) and holds at
 # most one leaf per s <= _LEAF_MAX, built at the rest's first sight.
-# _cube_divisors lists every divisor, for callers that need each d.
 
 
 def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
@@ -182,49 +183,25 @@ def _rstar_sum(tab: Sequence[Entry], lo: int, hi: int, memo: dict) -> int:
     ``tab`` holds the tables of n at k and ``memo`` the leaves at that k."""
     if hi < lo or hi < 1:
         return 0
-    r = len(tab)
-    if r == 0:
+    if not tab:
         return 1 if lo <= 1 else 0
-    rest = 1
-    for j in range(1, r):
-        rest *= tab[j][2]
-    if rest <= _LEAF_CUBE:
-        return _leaf_node(tab[0], 1, lo, hi, memo.get(rest) or _leaf(memo, rest, tab, 1))
-    # the walk descends past the root: tail products of the tables
-    full_tail = [1] * (r + 1)
-    sum_tail = [1] * (r + 1)
-    for i in range(r - 1, 0, -1):
-        _, _, full, rsum = tab[i]
-        full_tail[i] = full_tail[i + 1] * full
-        sum_tail[i] = sum_tail[i + 1] * rsum
-
-    # Called on the root, whose divisors may all lie in the range (then
-    # every child is folded), and below it only on a node d <= hi whose
-    # subtree [d, d * full_tail[i]] straddles a bound.  A leaf child has
-    # full_tail == 1, so it is always skipped or folded and the walk never
-    # indexes past the last prime.  The root's rest is above _LEAF_CUBE,
-    # so only deeper nodes reach a leaf.
-    def rec(i: int, d: int) -> int:
-        ft = full_tail[i + 1]
-        if 1 < ft <= _LEAF_CUBE:
-            return _leaf_node(tab[i], d, lo, hi, memo.get(ft) or _leaf(memo, ft, tab, i + 1))
-        pws, rvs, _, _ = tab[i]
-        st = sum_tail[i + 1]
-        s = 0
-        for q, rq in zip(pws, rvs):
-            dn = d * q
-            if dn > hi:
-                break
-            top = dn * ft
-            if top < lo:
-                continue
-            if dn >= lo and top <= hi:
-                s += rq * st
-            else:
-                s += rq * rec(i + 1, dn)
-        return s
-
-    return rec(0, 1)
+    h, cube = len(tab) - 1, 1
+    while h and cube * tab[h][2] <= _LEAF_CUBE:
+        cube *= tab[h][2]
+        h -= 1
+    leaf = memo.get(cube) or _leaf(memo, cube, tab, h + 1)
+    head = tab[h]
+    if h == 0:
+        return _leaf_node(head, 1, lo, hi, leaf)
+    span = head[2] * cube  # a listed d's subtree is [d, d * span]
+    full = head[3] * leaf[1][-1]  # its r* sum over r*(d)
+    s = 0
+    for d, r in _cube_divisors(tab[:h], hi):
+        top = d * span
+        if top < lo:
+            continue
+        s += r * (full if d >= lo and top <= hi else _leaf_node(head, d, lo, hi, leaf))
+    return s
 
 
 def _leaf(memo: dict, cube: int, tab: Sequence[Entry], i: int) -> Leaf:

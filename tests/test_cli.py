@@ -238,6 +238,19 @@ class TestScan:
         assert code == 2
         assert out == "" and "--n 4" in err
 
+    @pytest.mark.parametrize("quantity", ["S", "T", "Nstar", "Nproj"])
+    def test_small_B_rejected_before_counting(self, capsys, monkeypatch, quantity):
+        from manincount import counting
+
+        def never(*args, **kwargs):
+            raise AssertionError("counted before rejecting B = 5")
+
+        for name in ("s_sum", "t_sum", "count_affine_exact", "count_projective"):
+            monkeypatch.setattr(counting, name, never)
+        code, out, err = run(capsys, "scan", "--quantity", quantity, "--B-list", "60000,5")
+        assert code == 2 and out == ""
+        assert err == "usage error: --B-list needs every B >= 10 (the predictions' domain), got 5\n"
+
     def test_empty_b_list(self, capsys):
         code, _, _ = run(capsys, "scan", "--quantity", "S", "--B-list", "")
         assert code == 2

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from itertools import accumulate
@@ -83,6 +84,20 @@ def rest_of(n):
     return n // p**e
 
 
+def split_of(n):
+    """(listed part, span) of n >= 2 as the folded walk splits it, by trial
+    division: the smallest prime powers of n, taken while their product s
+    stays at most _LEAF_MAX, form the rest, the next one q heads it, the
+    larger ones form the listed part, and span = (q * s)**3."""
+    pes = [p**e for p, e in factorize(n)]
+    s, i = 1, 0
+    while i < len(pes) - 1 and s * pes[i] <= _LEAF_MAX:
+        s *= pes[i]
+        i += 1
+    q = pes[i]
+    return n // (q * s), (q * s) ** 3
+
+
 def next_prime(m):
     """The least prime > m, by trial division."""
     m += 1
@@ -137,47 +152,63 @@ class TestCubeDivisors:
         # the walk against divisors found without factorizing n and values
         # from rn_star(d), which factors d by trial division, so it does not
         # share the tables it reads.  One memo serves every window of an
-        # (n, k): from the first window on an n whose rest is at most
-        # _LEAF_MAX is answered by a leaf at the root, built on that first
-        # call, and any other n descends past it; both kinds must occur at
-        # every k.
+        # (n, k): from the first window on, an n whose rest is at most
+        # _LEAF_MAX is answered by the leaf of its rest under its largest
+        # prime, built on that first call, and any other n lists the
+        # divisors of its listed part's cube; both kinds must occur at
+        # every k.  Each listed divisor d brings cuts at d * span and one
+        # either side, where its subtree's top meets a bound.
         rng = random.Random(31)
         ns = [2**14, 3**9, 2**15 + 1, 2**16 - 1, 65521 * 2, 3 * 5 * 7 * 11 * 13 * 3,
               7 * 10007, 2**3 * 3**2 * 4099,  # 4099 and 10007 exceed the square root
-              2**10 * 3 * 5, 2 * 3 * 5 * 7 * 11 * 13]  # rests 3072 and 15015 exceed _LEAF_MAX
+              2**10 * 3 * 5, 2 * 3 * 5 * 7 * 11 * 13,  # rests 3072 and 15015 exceed _LEAF_MAX
+              2 * 3 * 5 * 7 * 11 * 13 * 17]  # listed part 13 * 17 under head 11
         ns += [rng.randint(2**15, 2**17) for _ in range(6)]
+        divs_of = {n: sorted(cube_divisors_of_divisors(n)) for n in ns}
         windows = 0
         for k in (1, 2, 3):
-            branches = {"leaf": 0, "descent": 0}
+            branches = {"leaf": 0, "listed": 0}
             for n in ns:
-                divs = sorted(cube_divisors_of_divisors(n))
+                divs = divs_of[n]
+                pre = list(accumulate((rn_star(d, k) for d in divs), initial=0))
                 tab = tables_of(n, k)
-                rstar = {d: rn_star(d, k) for d in divs}
                 cuts = [0, 1, 2, n, n**3 - 1, n**3, n**3 + 1]
                 cuts += [rng.choice(divs) + rng.randint(-1, 1) for _ in range(8)]
+                listed, span = split_of(n)
+                cuts += [d * span + j for d in cube_divisors_of_divisors(listed) for j in (-1, 0, 1)]
                 memo = {}
                 for lo in cuts:
                     for hi in cuts:
-                        want = sum(rstar[d] for d in divs if lo <= d <= hi)
+                        want = pre[bisect_right(divs, hi)] - pre[bisect_left(divs, lo)] if lo <= hi else 0
                         assert _rstar_sum(tab, lo, hi, memo) == want, (n, k, lo, hi)
                         windows += want > 0
                 rest = rest_of(n)
                 if rest <= _LEAF_MAX:
-                    assert memo.get(rest**3), (n, k)  # the root's leaf was built
+                    assert listed == 1, n
+                    assert memo.get(rest**3), (n, k)  # the rest's leaf was built
                     branches["leaf"] += 1
                 else:
+                    assert listed > 1, n
                     assert rest**3 not in memo, (n, k)
-                    branches["descent"] += 1
+                    branches["listed"] += 1
             assert min(branches.values()) >= 2, (k, branches)
         assert windows > 1000
 
+    def test_listed_part_leaves_one_leaf(self):
+        # 30030 = 2 * 3 * 5 * 7 * 11 * 13: the leaf of 210 = 2 * 3 * 5 * 7
+        # under head 11, with 13 listed, is the one leaf a call builds
+        memo = {}
+        _rstar_sum(tables_of(30030, 1), 1, 30030**3, memo)
+        assert list(memo) == [210**3]
+
     def test_leaf_against_trial_division(self):
-        # rests on both sides of _LEAF_MAX, rest 1, and head exponents 1 to 3
-        # under a prime above every prime of the rest; each window once
-        # with a fresh memo, whose call builds the root's leaf or walks past
-        # the root, and once with a memo already holding the root's leaf.
-        # Head exponent 2 puts n**3 above 2**63, so the bisections compare
-        # Python ints beyond int64 with array('q').
+        # n = P**e * rest, P a prime above every prime of the rest, for rests
+        # on both sides of _LEAF_MAX, rest 1, and exponents e = 1 to 3.  Up
+        # to _LEAF_MAX, P heads the leaf of the rest; 257 is prime, so above
+        # it the leaf is empty, 257 heads it and P**e is listed.  Each window
+        # runs once with a fresh memo and once with a memo already holding
+        # the leaf.  Exponent 2 puts n**3 above 2**63, so the bisections
+        # compare Python ints beyond int64 with array('q').
         P = next_prime(_LEAF_MAX + 1)
         rests = (_LEAF_MAX - 1, _LEAF_MAX, _LEAF_MAX + 1, 1)
         rng = random.Random(37)
@@ -194,8 +225,8 @@ class TestCubeDivisors:
                     memo = {}
                     _rstar_sum(tab, 2, n**3, memo)
                     _rstar_sum(tab, 2, n**3, memo)
-                    root_leaf = rest <= _LEAF_MAX
-                    assert bool(memo.get(rest**3)) == root_leaf, (n, k)
+                    rest_leaf = rest <= _LEAF_MAX
+                    assert bool(memo.get(rest**3)) == rest_leaf, (n, k)
                     cuts = [-(2**64), -1, 0, 1, 2, n**3 - 1, n**3, n**3 + 1, 2**63 - 1,
                             2**63, 2**64 + 7]
                     cuts += [rng.choice(divs) + rng.randint(-1, 1) for _ in range(6)]
@@ -204,7 +235,7 @@ class TestCubeDivisors:
                             want = sum(rstar[d] for d in divs if lo <= d <= hi)
                             assert _rstar_sum(tab, lo, hi, {}) == want, (n, k, lo, hi)
                             assert _rstar_sum(tab, lo, hi, memo) == want, (n, k, lo, hi)
-                            leaf_windows += root_leaf and want > 0
+                            leaf_windows += rest_leaf and want > 0
                     widest = max(widest, n**3)
         assert leaf_windows > 500
         assert widest > 2**63
